@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError
 from .linalg import PAULIS, kron
-from .states import validate_density
+from .states import validate_two_qubit
 
 UNIT_TOL = 1e-12
 
@@ -53,9 +53,7 @@ class ChshConfig:
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectation values tr(rho sigma_i (x) sigma_j)."""
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"correlation matrix needs a 4x4 state, got shape {rho.shape}")
+    rho = validate_two_qubit(rho)
     t = np.empty((3, 3))
     for i in range(3):
         for j in range(3):

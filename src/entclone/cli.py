@@ -9,7 +9,9 @@ Subcommands:
 * ``interval``: inseparability interval in alpha^2 for a cloning scheme.
 * ``analyze``: full report on a density matrix loaded from a JSON file.
 
-Exit codes: 0 success, 1 usage error, 2 invalid input state.
+Exit codes: 0 success, 1 usage error (or an ``interval --tol`` finer than
+the float spacing at an endpoint), 2 invalid input state (including a valid
+state that is not two-qubit).
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import sys
 import numpy as np
 
 from .bell import bmax, bmax_numeric, chsh_value, correlation_matrix, planar_pi4_config
-from .cloning import CloneScheme, clone_local, iterate
+from .cloning import CloneScheme, bell_clone, iterate
 from .entanglement import concurrence, entanglement_of_formation
-from .linalg import hermitian_eig
+from .errors import NoConvergenceError
+from .linalg import hermitian_eig, require_two_qubit
 from .separability import entanglement_interval, ppt_verdict
 from .states import BellKind, bell_state, density_from_pure, load_density
 
@@ -50,24 +53,22 @@ def _int_at_least(minimum):
     return parse
 
 
-def _alpha_arg(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in [0, 1], got {value}")
-    return value
+def _float_where(valid, requirement):
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+
+    return parse
 
 
-def _positive_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+_alpha_arg = _float_where(lambda v: 0.0 <= v <= 1.0, "alpha must lie in [0, 1]")
+# v > 0.0 is False for NaN, so a NaN tolerance is a usage error too
+_positive_float = _float_where(lambda v: v > 0.0, "must be positive")
 
 
 def _build_parser() -> _Parser:
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="alpha-grid sweep as CSV")
-    sweep.add_argument("--scheme", choices=["pure", "local", "nonlocal"], default="pure")
+    sweep.add_argument("--scheme", choices=[s.value for s in CloneScheme], default="pure")
     sweep.add_argument("--grid", type=_int_at_least(2), default=201,
                        help="uniform grid points over [0, 1], endpoints included")
     sweep.add_argument("--iterations", type=_int_at_least(0), default=0,
@@ -101,20 +102,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _scheme_output(scheme: str, iterations: int, alpha: float) -> np.ndarray:
-    rho = density_from_pure(bell_state(BellKind.PSI_MINUS, alpha))
-    if scheme == "pure":
-        return rho
-    if scheme == "local":
-        return clone_local(rho)
-    return iterate(rho, CloneScheme.NONLOCAL, 1 + iterations).states[-1]
-
-
-def _sweep_lines(scheme: str, iterations: int, alphas) -> list[str]:
+def _sweep_lines(scheme: CloneScheme, iterations: int, alphas) -> list[str]:
     cfg = planar_pi4_config()
     lines = [CSV_HEADER]
     for alpha in alphas:
-        rho = _scheme_output(scheme, iterations, float(alpha))
+        rho = bell_clone(scheme, float(alpha), iterations)
         row = (
             float(alpha),
             chsh_value(rho, cfg),
@@ -128,7 +120,7 @@ def _sweep_lines(scheme: str, iterations: int, alphas) -> list[str]:
 
 def _cmd_sweep(args) -> int:
     alphas = [args.alpha] if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
-    text = "\n".join(_sweep_lines(args.scheme, args.iterations, alphas)) + "\n"
+    text = "\n".join(_sweep_lines(CloneScheme(args.scheme), args.iterations, alphas)) + "\n"
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -151,14 +143,18 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    result = entanglement_interval(args.scheme, tol=args.tol)
+    try:
+        result = entanglement_interval(args.scheme, tol=args.tol)
+    except NoConvergenceError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     print(f"[{result.low:.6f}, {result.high:.6f}]")
     return 0
 
 
 def _cmd_analyze(args) -> int:
     try:
-        rho = load_density(args.input)
+        rho = require_two_qubit(load_density(args.input))
     except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

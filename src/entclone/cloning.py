@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BadDimensionError, OutOfRangeError
 from .linalg import hermitian_eig, kron, partial_trace
-from .states import validate_density
+from .states import BellKind, bell_state, density_from_pure, validate_density, validate_two_qubit
 
 QUBIT_SHRINK = 2.0 / 3.0
 REGISTER_SHRINK = 3.0 / 5.0
@@ -36,13 +36,37 @@ REMIX_TOL = 1e-10
 
 
 class CloneScheme(enum.Enum):
+    """The channel a two-qubit state passes through; PURE is the identity."""
+
+    PURE = "pure"
     LOCAL = "local"
     NONLOCAL = "nonlocal"
 
     @property
     def shrink(self) -> float:
-        """Shrink factor of the underlying cloner (per qubit for LOCAL)."""
-        return QUBIT_SHRINK if self is CloneScheme.LOCAL else REGISTER_SHRINK
+        """Shrink factor of the underlying cloner (per qubit for LOCAL, 1 for PURE)."""
+        return {"pure": 1.0, "local": QUBIT_SHRINK, "nonlocal": REGISTER_SHRINK}[self.value]
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Send a 4x4 density matrix through this scheme's channel.
+
+        Unchecked: rho must already be validated, or built by the caller.
+        LOCAL is the tensor square of the single-qubit shrink map,
+        rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36.
+        """
+        if self is CloneScheme.PURE:
+            return rho
+        if self is CloneScheme.NONLOCAL:
+            return REGISTER_SHRINK * rho + (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
+        rho_a = partial_trace(rho, (2, 2), "first")
+        rho_b = partial_trace(rho, (2, 2), "second")
+        eye2 = np.eye(2)
+        return (
+            (4.0 / 9.0) * rho
+            + (1.0 / 9.0) * kron(rho_a, eye2)
+            + (1.0 / 9.0) * kron(eye2, rho_b)
+            + np.eye(4) / 36.0
+        )
 
 
 @dataclass
@@ -67,34 +91,12 @@ def shrink_channel(rho: np.ndarray, eta: float) -> np.ndarray:
 
 def clone_nonlocal(rho: np.ndarray) -> np.ndarray:
     """Clone a two-qubit state as a single 4-dimensional register."""
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"non-local cloning needs a 4x4 state, got shape {rho.shape}")
-    return shrink_channel(rho, REGISTER_SHRINK)
+    return CloneScheme.NONLOCAL.apply(validate_two_qubit(rho))
 
 
 def clone_local(rho: np.ndarray) -> np.ndarray:
-    """Clone each qubit of a two-qubit state with its own machine.
-
-    The joint channel is the tensor square of the single-qubit shrink map:
-    rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36.
-    """
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"local cloning needs a 4x4 state, got shape {rho.shape}")
-    rho_a = partial_trace(rho, (2, 2), "first")
-    rho_b = partial_trace(rho, (2, 2), "second")
-    eye2 = np.eye(2)
-    return (
-        (4.0 / 9.0) * rho
-        + (1.0 / 9.0) * kron(rho_a, eye2)
-        + (1.0 / 9.0) * kron(eye2, rho_b)
-        + np.eye(4) / 36.0
-    )
-
-
-def _apply(scheme: CloneScheme, rho: np.ndarray) -> np.ndarray:
-    return clone_local(rho) if scheme is CloneScheme.LOCAL else clone_nonlocal(rho)
+    """Clone each qubit of a two-qubit state with its own machine."""
+    return CloneScheme.LOCAL.apply(validate_two_qubit(rho))
 
 
 def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
@@ -107,14 +109,14 @@ def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
     """
     if n < 0:
         raise OutOfRangeError(f"step count must be non-negative, got {n}")
-    states = [validate_density(rho)]
+    states = [validate_two_qubit(rho)]
     for _ in range(n):
         current = states[-1]
         weights, vectors = hermitian_eig(current)
         remixed = np.zeros_like(current)
         for weight, vector in zip(weights, vectors.T):
-            remixed = remixed + weight * _apply(scheme, np.outer(vector, vector.conj()))
-        direct = _apply(scheme, current)
+            remixed = remixed + weight * scheme.apply(np.outer(vector, vector.conj()))
+        direct = scheme.apply(current)
         gap = float(np.abs(remixed - direct).max())
         if gap > REMIX_TOL:
             raise RuntimeError(
@@ -124,12 +126,16 @@ def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
     return CloneSequence(states=states, scheme=scheme)
 
 
-def _swap_matrix(d: int) -> np.ndarray:
-    swap = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            swap[i * d + j, j * d + i] = 1.0
-    return swap
+def bell_clone(scheme: CloneScheme, alpha: float, extra_rounds: int = 0) -> np.ndarray:
+    """Output of ``scheme`` on alpha|01> - beta|10>, after ``extra_rounds`` more rounds.
+
+    One round is the channel applied directly; extra rounds go through
+    ``iterate`` from the uncloned input, so every round keeps its remix check.
+    """
+    rho = density_from_pure(bell_state(BellKind.PSI_MINUS, alpha))
+    if extra_rounds == 0:
+        return scheme.apply(rho)
+    return iterate(rho, scheme, 1 + extra_rounds).states[-1]
 
 
 def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
@@ -143,5 +149,6 @@ def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0]
     if d not in (2, 4):
         raise BadDimensionError(f"supported clone dimensions are 2 and 4, got {d}")
-    sym = (np.eye(d * d) + _swap_matrix(d)) / 2
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    sym = (np.eye(d * d) + swap) / 2
     return (2.0 / (d + 1)) * sym @ kron(rho, np.eye(d)) @ sym

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, NotXShapeError, OutOfRangeError
-from .linalg import hermitian_eig, psd_sqrt
-from .states import validate_density
+from .errors import NotXShapeError, OutOfRangeError
+from .linalg import PAULI_Y, hermitian_eig, kron, psd_sqrt, require_two_qubit
+from .states import validate_two_qubit
 
 # eigenvalues of sqrt(rho) rho~ sqrt(rho) below this are eigensolver noise;
 # sqrt would amplify ~1e-16 residue to ~1e-8 in the lambdas
@@ -16,23 +16,14 @@ NOISE_FLOOR = 1e-14
 
 X_SHAPE_TOL = 1e-12
 
-# sigma_y (x) sigma_y in the computational basis
-SIGMA_YY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-)
+# sigma_y (x) sigma_y in the computational basis; it is real, so the
+# imaginary parts are dropped rather than kept as signed zeros
+SIGMA_YY = kron(PAULI_Y, PAULI_Y).real.astype(complex)
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
     """Spin-flipped state (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise BadDimensionError(f"spin flip needs a 4x4 matrix, got shape {rho.shape}")
+    rho = require_two_qubit(np.asarray(rho, dtype=complex))
     return SIGMA_YY @ rho.conj() @ SIGMA_YY
 
 
@@ -50,9 +41,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     The l_i are the descending square roots of the eigenvalues of
     sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state.
     """
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"concurrence needs a 4x4 state, got shape {rho.shape}")
+    rho = validate_two_qubit(rho)
     root = psd_sqrt(rho)
     m = root @ spin_flip(rho) @ root
     w = hermitian_eig(m).eigenvalues
@@ -83,9 +72,7 @@ def concurrence_xstate_oracle(rho: np.ndarray) -> float:
     C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)).
     Raises NotXShapeError when any other entry is nonzero.
     """
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"oracle needs a 4x4 state, got shape {rho.shape}")
+    rho = validate_two_qubit(rho)
     mask = np.zeros((4, 4), dtype=bool)
     mask[np.arange(4), np.arange(4)] = True
     mask[np.arange(4), np.arange(4)[::-1]] = True

@@ -30,4 +30,4 @@ class NotXShapeError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """Eigensolver failed to converge."""
+    """Eigensolver failed to converge, or a bisection stalled short of its tolerance."""

@@ -53,6 +53,13 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def require_two_qubit(m: np.ndarray) -> np.ndarray:
+    """Return m unchanged if it is a 4x4 two-qubit operator; else raise BadDimensionError."""
+    if m.shape != (4, 4):
+        raise BadDimensionError(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
+    return m
+
+
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     """Diagonalize a Hermitian matrix.
 
@@ -91,9 +98,7 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     input.  The map is an exact entry permutation, hence involutive and
     trace preserving.
     """
-    m = _as_square(m)
-    if m.shape[0] != 4:
-        raise BadDimensionError(f"partial transpose needs a 4x4 matrix, got shape {m.shape}")
+    m = require_two_qubit(_as_square(m))
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
 
 

@@ -11,16 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import clone_local, clone_nonlocal
-from .errors import BadDimensionError, OutOfRangeError
+from .cloning import CloneScheme, bell_clone
+from .errors import NoConvergenceError, OutOfRangeError
 from .linalg import dagger, partial_transpose
-from .states import BellKind, bell_state, density_from_pure, validate_density
+from .states import validate_two_qubit
 
 PPT_TOL = 1e-10
 BISECTION_TOL = 1e-8
-MAX_BISECTIONS = 60
-
-SCHEMES = ("pure", "local", "nonlocal")
 
 
 @dataclass
@@ -43,46 +40,43 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
 
     States with |min eigenvalue| <= tol are reported separable.
     """
-    rho = validate_density(rho)
-    if rho.shape[0] != 4:
-        raise BadDimensionError(f"PPT verdict needs a 4x4 state, got shape {rho.shape}")
-    pt = partial_transpose(rho)
+    pt = partial_transpose(validate_two_qubit(rho))
     low = float(np.linalg.eigvalsh((pt + dagger(pt)) / 2).min())
     return SeparabilityVerdict(min_pt_eigenvalue=low, entangled=low < -tol, tolerance=tol)
 
 
-def _scheme_output(scheme: str, alpha_squared: float) -> np.ndarray:
-    rho = density_from_pure(bell_state(BellKind.PSI_MINUS, float(np.sqrt(alpha_squared))))
-    if scheme == "pure":
-        return rho
-    if scheme == "local":
-        return clone_local(rho)
-    return clone_nonlocal(rho)
-
-
-def _bisect_boundary(scheme: str, separable_end: float, entangled_end: float, tol: float) -> float:
-    for _ in range(MAX_BISECTIONS):
-        if abs(entangled_end - separable_end) <= tol:
-            break
+def _bisect_boundary(
+    scheme: CloneScheme, separable_end: float, entangled_end: float, tol: float
+) -> float:
+    while abs(entangled_end - separable_end) > tol:
         mid = (separable_end + entangled_end) / 2
-        if ppt_verdict(_scheme_output(scheme, mid)).entangled:
+        if mid in (separable_end, entangled_end):
+            low, high = sorted((separable_end, entangled_end))
+            raise NoConvergenceError(
+                f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], "
+                f"wider than tol {tol:g}"
+            )
+        if ppt_verdict(bell_clone(scheme, float(np.sqrt(mid)))).entangled:
             entangled_end = mid
         else:
             separable_end = mid
     return (separable_end + entangled_end) / 2
 
 
-def entanglement_interval(scheme: str, tol: float = BISECTION_TOL) -> AlphaSquaredInterval:
+def entanglement_interval(
+    scheme: CloneScheme | str, tol: float = BISECTION_TOL
+) -> AlphaSquaredInterval:
     """Bisect for the alpha^2 interval on which the scheme output is entangled.
 
-    ``scheme`` is "pure", "local", or "nonlocal"; the output is evaluated on
-    the alpha|01> - beta|10> family.  Both endpoints are located to within
-    ``tol``, exploiting that the interval is symmetric about 1/2 and contains
-    it.
+    ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");
+    the output is evaluated on the alpha|01> - beta|10> family.  Both
+    endpoints are located to within ``tol``, exploiting that the interval is
+    symmetric about 1/2 and contains it.  Raises NoConvergenceError when
+    ``tol`` is below the float spacing at an endpoint, so that the midpoint
+    no longer splits the bracket.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if tol <= 0.0:
+    scheme = CloneScheme(scheme)
+    if not tol > 0.0:
         raise OutOfRangeError(f"tolerance must be positive, got {tol}")
     low = _bisect_boundary(scheme, 0.0, 0.5, tol)
     high = _bisect_boundary(scheme, 1.0, 0.5, tol)

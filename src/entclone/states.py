@@ -22,6 +22,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .linalg import HERMITIAN_TOL, PSD_TOL, _as_square, dagger, hermiticity_defect
+from .linalg import require_two_qubit
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -80,6 +81,11 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     if abs(trace - 1.0) > TRACE_TOL:
         raise BadTraceError(f"trace must be 1, got {trace.real:.12g}")
     return m
+
+
+def validate_two_qubit(m: np.ndarray) -> np.ndarray:
+    """validate_density for a two-qubit state; also raises BadDimensionError unless m is 4x4."""
+    return require_two_qubit(validate_density(m))
 
 
 def density_to_dict(rho: np.ndarray) -> dict:

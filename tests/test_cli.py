@@ -161,6 +161,22 @@ def test_interval_flag_validation(capsys):
     assert run_cli(["interval"], capsys)[0] == 1
     assert run_cli(["interval", "--scheme", "pure"], capsys)[0] == 1
     assert run_cli(["interval", "--scheme", "local", "--tol", "-1"], capsys)[0] == 1
+    assert run_cli(["interval", "--scheme", "local", "--tol", "nan"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize("scheme", ["local", "nonlocal"])
+def test_interval_tol_below_float_spacing_is_reported(scheme, capsys):
+    code, out, err = run_cli(["interval", "--scheme", scheme, "--tol", "1e-30"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("NoConvergenceError: bisection stalled at alpha^2 bracket [")
+
+
+@pytest.mark.parametrize("tol", ["1e-14", "1e-12", "1e-10", "1e-8"])
+def test_interval_fine_tolerances_print_the_paper_endpoints(tol, capsys):
+    assert run_cli(["interval", "--scheme", "local", "--tol", tol], capsys)[1] == "[0.109688, 0.890312]\n"
+    assert run_cli(["interval", "--scheme", "nonlocal", "--tol", tol], capsys)[1] == "[0.028595, 0.971405]\n"
 
 
 def _write_state(path, rho):
@@ -234,3 +250,12 @@ def test_analyze_wrong_trace(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
     assert code == 2
     assert "Trace" in err or "trace" in err
+
+
+def test_analyze_valid_two_by_two_state_is_an_invalid_input(tmp_path, capsys):
+    path = _write_state(tmp_path / "qubit.json", np.eye(2) / 2.0)
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("BadDimensionError:")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entclone import (
     BadDimensionError,
@@ -18,6 +20,7 @@ from entclone import (
     shrink_channel,
     symmetric_cloner_joint,
 )
+from entclone.cloning import REMIX_TOL, bell_clone
 
 from helpers import random_density
 
@@ -43,8 +46,23 @@ def test_shrink_channel_eta_bounds():
 
 
 def test_scheme_shrink_factors():
+    assert CloneScheme.PURE.shrink == 1.0
     assert CloneScheme.LOCAL.shrink == QUBIT_SHRINK == 2.0 / 3.0
     assert CloneScheme.NONLOCAL.shrink == REGISTER_SHRINK == 3.0 / 5.0
+
+
+def test_pure_scheme_is_the_identity_channel():
+    rho = random_density(np.random.default_rng(21), 4)
+    assert CloneScheme.PURE.apply(rho) is rho
+    assert [s.value for s in CloneScheme] == ["pure", "local", "nonlocal"]
+
+
+@pytest.mark.parametrize("scheme", list(CloneScheme))
+def test_bell_clone_applies_the_channel_once_then_iterates(scheme):
+    alpha = 0.6
+    rho = _bell_density(BellKind.PSI_MINUS, alpha)
+    assert np.array_equal(bell_clone(scheme, alpha), scheme.apply(rho))
+    assert np.array_equal(bell_clone(scheme, alpha, 2), iterate(rho, scheme, 3).states[-1])
 
 
 def test_clone_nonlocal_is_register_shrink():
@@ -146,3 +164,27 @@ def test_clones_of_product_states_stay_product_like():
     sa = shrink_channel(a, QUBIT_SHRINK)
     sb = shrink_channel(b, QUBIT_SHRINK)
     assert np.abs(out - kron(sa, sb)).max() < 1e-13
+
+
+_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def densities(draw):
+    g = np.array(draw(st.lists(_entries, min_size=32, max_size=32))).reshape(2, 4, 4)
+    g = g[0] + 1j * g[1]
+    rho = g @ g.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-2)
+    return rho / trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(densities())
+def test_public_clones_and_one_iterate_round_match_the_scheme_channel(rho):
+    local = clone_local(rho)
+    nonlocal_ = clone_nonlocal(rho)
+    assert np.array_equal(local, CloneScheme.LOCAL.apply(rho))
+    assert np.array_equal(nonlocal_, CloneScheme.NONLOCAL.apply(rho))
+    for scheme, direct in ((CloneScheme.LOCAL, local), (CloneScheme.NONLOCAL, nonlocal_)):
+        assert np.abs(iterate(rho, scheme, 1).states[1] - direct).max() <= REMIX_TOL

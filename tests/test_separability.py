@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from entclone import (
     BadDimensionError,
     BellKind,
+    CloneScheme,
+    NoConvergenceError,
     OutOfRangeError,
     bell_state,
     clone_local,
@@ -95,3 +99,46 @@ def test_interval_argument_checks():
         entanglement_interval("global")
     with pytest.raises(OutOfRangeError):
         entanglement_interval("local", tol=0.0)
+    with pytest.raises(OutOfRangeError):
+        entanglement_interval("local", tol=float("nan"))
+
+
+def test_interval_takes_the_enum_or_its_value():
+    assert entanglement_interval(CloneScheme.LOCAL) == entanglement_interval("local")
+    assert entanglement_interval(CloneScheme.NONLOCAL, 1e-4) == entanglement_interval("nonlocal", 1e-4)
+
+
+# exact endpoints: stopping on a stalled midpoint must not move any reachable tolerance
+PINNED_ENDPOINTS = [
+    ("pure", 1e-14, 3.552713678800501e-15, 0.9999999999999964),
+    ("pure", 1e-08, 3.725290298461914e-09, 0.9999999962747097),
+    ("local", 1e-14, 0.10968762528024101, 0.890312374719759),
+    ("local", 1e-12, 0.10968762528000298, 0.890312374719997),
+    ("local", 1e-10, 0.1096876252850052, 0.8903123747149948),
+    ("local", 1e-08, 0.10968762263655663, 0.8903123773634434),
+    ("local", 1e-06, 0.10968732833862305, 0.890312671661377),
+    ("local", 0.1, 0.09375, 0.90625),
+    ("nonlocal", 1e-14, 0.02859547926789574, 0.9714045207321043),
+    ("nonlocal", 1e-12, 0.028595479267551127, 0.9714045207324489),
+    ("nonlocal", 1e-10, 0.02859547929256223, 0.9714045207074378),
+    ("nonlocal", 1e-08, 0.02859548106789589, 0.9714045189321041),
+    ("nonlocal", 1e-06, 0.028595447540283203, 0.9714045524597168),
+    ("nonlocal", 0.1, 0.03125, 0.96875),
+]
+
+
+@pytest.mark.parametrize("scheme, tol, low, high", PINNED_ENDPOINTS)
+def test_interval_endpoints_are_pinned_for_reachable_tolerances(scheme, tol, low, high):
+    interval = entanglement_interval(scheme, tol)
+    assert (interval.low, interval.high) == (low, high)
+
+
+@pytest.mark.parametrize("scheme", ["local", "nonlocal"])
+def test_interval_raises_when_the_midpoint_stops_splitting_the_bracket(scheme):
+    with pytest.raises(NoConvergenceError) as info:
+        entanglement_interval(scheme, tol=1e-30)
+    found = re.search(r"bracket \[(\S+), (\S+)\]", str(info.value))
+    low, high = float(found.group(1)), float(found.group(2))
+    # two adjacent floats at the paper's endpoint, which PPT_TOL moves by ~1e-10
+    assert high == np.nextafter(low, 1.0)
+    assert min(abs(low - x) for x in (LOCAL_LOW, LOCAL_HIGH, NONLOCAL_LOW, NONLOCAL_HIGH)) < 1e-9

@@ -12,10 +12,16 @@ from entclone import (
     NotPsdError,
     OutOfRangeError,
     bell_state,
+    clone_local,
+    clone_nonlocal,
+    concurrence,
+    concurrence_xstate_oracle,
+    correlation_matrix,
     density_from_dict,
     density_from_pure,
     density_to_dict,
     load_density,
+    ppt_verdict,
     save_density,
     validate_density,
 )
@@ -132,3 +138,21 @@ def test_load_density_bad_files(tmp_path):
     listing.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError):
         load_density(listing)
+
+
+TWO_QUBIT_FUNCTIONS = [
+    clone_local,
+    clone_nonlocal,
+    ppt_verdict,
+    concurrence,
+    correlation_matrix,
+    concurrence_xstate_oracle,
+]
+
+
+@pytest.mark.parametrize("fn", TWO_QUBIT_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_two_qubit_functions_check_their_argument(fn):
+    with pytest.raises(BadDimensionError):
+        fn(np.eye(2) / 2.0)
+    with pytest.raises(NotPsdError):
+        fn(np.diag([0.6, 0.5, -0.1, 0.0]))
