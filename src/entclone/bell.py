@@ -22,9 +22,10 @@ from .linalg import PAULIS, kron
 from .states import validate_two_qubit
 
 UNIT_TOL = 1e-12
+BMAX_RESTARTS = 64  # random starting direction pairs of bmax_numeric
 
-# sigma_i (x) sigma_j observables indexed [i][j]
-_PAULI_PAIRS = [[kron(a, b) for b in PAULIS] for a in PAULIS]
+# sigma_i (x) sigma_j observables, shape (3, 3, 4, 4) indexed [i, j]
+_PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
@@ -51,38 +52,35 @@ class ChshConfig:
             object.__setattr__(self, name, _unit_vector(getattr(self, name)))
 
 
+def _correlations(rho: np.ndarray) -> np.ndarray:
+    # unchecked kernel of correlation_matrix: all nine traces in one stacked product
+    values = np.trace(rho @ _PAULI_PAIRS, axis1=2, axis2=3)
+    complex_entries = np.argwhere(np.abs(values.imag) > 1e-10)
+    if len(complex_entries):
+        i, j = complex_entries[0]
+        raise NotHermitianError(f"correlation ({i},{j}) has imaginary part {values[i, j].imag:.3e}")
+    return values.real.copy()
+
+
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectation values tr(rho sigma_i (x) sigma_j)."""
-    rho = validate_two_qubit(rho)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            value = complex(np.trace(rho @ _PAULI_PAIRS[i][j]))
-            if abs(value.imag) > 1e-10:
-                raise NotHermitianError(
-                    f"correlation ({i},{j}) has imaginary part {value.imag:.3e}"
-                )
-            t[i, j] = value.real
-    return t
+    return _correlations(validate_two_qubit(rho))
 
 
 def correlation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Spin correlation E(a, b) = a . T b."""
-    a = _unit_vector(a)
-    b = _unit_vector(b)
+    a, b = _unit_vector(a), _unit_vector(b)
     return float(a @ correlation_matrix(rho) @ b)
+
+
+def _chsh(t: np.ndarray, cfg: ChshConfig) -> float:
+    a, a_prime, b, b_prime = cfg.a, cfg.a_prime, cfg.b, cfg.b_prime
+    return float(abs(a @ t @ b - a_prime @ t @ b + a @ t @ b_prime + a_prime @ t @ b_prime))
 
 
 def chsh_value(rho: np.ndarray, cfg: ChshConfig) -> float:
     """CHSH quantity B for an explicit set of measurement directions."""
-    t = correlation_matrix(rho)
-
-    def e(x, y):
-        return x @ t @ y
-
-    return float(
-        abs(e(cfg.a, cfg.b) - e(cfg.a_prime, cfg.b) + e(cfg.a, cfg.b_prime) + e(cfg.a_prime, cfg.b_prime))
-    )
+    return _chsh(correlation_matrix(rho), cfg)
 
 
 def planar_pi4_config() -> ChshConfig:
@@ -101,14 +99,17 @@ def planar_pi4_config() -> ChshConfig:
     )
 
 
+def _bmax(t: np.ndarray) -> float:
+    u = np.linalg.eigvalsh(t.T @ t)
+    return float(2.0 * np.sqrt(max(u[-1] + u[-2], 0.0)))
+
+
 def bmax(rho: np.ndarray) -> float:
     """Maximum of the CHSH quantity over all measurement directions.
 
     Closed form 2 sqrt(u1 + u2) from the two largest eigenvalues of T^T T.
     """
-    t = correlation_matrix(rho)
-    u = np.linalg.eigvalsh(t.T @ t)
-    return float(2.0 * np.sqrt(max(u[-1] + u[-2], 0.0)))
+    return _bmax(correlation_matrix(rho))
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -116,19 +117,17 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 1e-15)
 
 
-def bmax_numeric(rho: np.ndarray, restarts: int = 64, seed: int = 0) -> float:
+def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     """Maximize the CHSH quantity directly, validating the closed form.
 
     Writes B = a . T(b + b') + a' . T(b' - b) and alternates between the
-    optimal (a, a') for fixed (b, b') and vice versa, from ``restarts`` random
-    starting direction pairs.  Deterministic for fixed seed.
+    optimal (a, a') for fixed (b, b') and vice versa, from BMAX_RESTARTS
+    random starting direction pairs.  Deterministic for fixed seed.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     t = correlation_matrix(rho)
     rng = np.random.default_rng(seed)
-    b = _unit_rows(rng.standard_normal((restarts, 3)))
-    b_prime = _unit_rows(rng.standard_normal((restarts, 3)))
+    b = _unit_rows(rng.standard_normal((BMAX_RESTARTS, 3)))
+    b_prime = _unit_rows(rng.standard_normal((BMAX_RESTARTS, 3)))
     for _ in range(300):
         a = _unit_rows((b + b_prime) @ t.T)
         a_prime = _unit_rows((b_prime - b) @ t.T)

@@ -21,12 +21,12 @@ import sys
 
 import numpy as np
 
-from .bell import bmax, bmax_numeric, chsh_value, correlation_matrix, planar_pi4_config
+from .bell import _bmax, _chsh, _correlations, bmax_numeric, planar_pi4_config
 from .cloning import CloneScheme, bell_clone, iterate
-from .entanglement import concurrence, entanglement_of_formation
+from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
 from .linalg import hermitian_eig, require_two_qubit
-from .separability import entanglement_interval, ppt_verdict
+from .separability import PPT_TOL, _verdict, entanglement_interval
 from .states import BellKind, bell_state, density_from_pure, load_density
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
@@ -40,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(minimum):
+def _int_arg(minimum, maximum=None):
     def parse(text):
         try:
             value = int(text)
@@ -48,6 +48,8 @@ def _int_at_least(minimum):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -77,16 +79,17 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="alpha-grid sweep as CSV")
     sweep.add_argument("--scheme", choices=[s.value for s in CloneScheme], default="pure")
-    sweep.add_argument("--grid", type=_int_at_least(2), default=201,
+    sweep.add_argument("--grid", type=_int_arg(2), default=201,
                        help="uniform grid points over [0, 1], endpoints included")
-    sweep.add_argument("--iterations", type=_int_at_least(0), default=0,
-                       help="extra cloning steps beyond the first (nonlocal only)")
+    # (3/5)^k < 2^-52 for every k >= 71: rounds past that only add roundoff
+    sweep.add_argument("--iterations", type=_int_arg(0, 100), default=0,
+                       help="extra cloning steps beyond the first (nonlocal only, at most 100)")
     sweep.add_argument("--alpha", type=_alpha_arg, default=None,
                        help="emit a single row at this alpha instead of the grid")
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     table1 = sub.add_parser("table1", help="singlet EoF under repeated non-local cloning")
-    table1.add_argument("--steps", type=_int_at_least(1), default=3)
+    table1.add_argument("--steps", type=_int_arg(1), default=3)
 
     interval = sub.add_parser("interval", help="inseparability interval in alpha^2")
     interval.add_argument("--scheme", choices=["local", "nonlocal"], required=True)
@@ -102,18 +105,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _measures(rho, cfg):
+    # every state reaching here came from a checked alpha, load_density or iterate
+    t = _correlations(rho)
+    return t, _chsh(t, cfg), _bmax(t), _concurrence(rho).concurrence, _verdict(rho, PPT_TOL)
+
+
 def _sweep_lines(scheme: CloneScheme, iterations: int, alphas) -> list[str]:
     cfg = planar_pi4_config()
     lines = [CSV_HEADER]
     for alpha in alphas:
-        rho = bell_clone(scheme, float(alpha), iterations)
-        row = (
-            float(alpha),
-            chsh_value(rho, cfg),
-            bmax(rho),
-            entanglement_of_formation(rho),
-            ppt_verdict(rho).min_pt_eigenvalue,
-        )
+        _, chsh, closed, c, verdict = _measures(bell_clone(scheme, float(alpha), iterations), cfg)
+        row = (float(alpha), chsh, closed, _eof(c), verdict.min_pt_eigenvalue)
         lines.append(",".join(f"{value:.9g}" for value in row))
     return lines
 
@@ -138,7 +141,7 @@ def _cmd_table1(args) -> int:
     sequence = iterate(singlet, CloneScheme.NONLOCAL, args.steps)
     print("step eof")
     for step, state in enumerate(sequence.states):
-        print(f"{step} {entanglement_of_formation(state):.6f}")
+        print(f"{step} {_eof(_concurrence(state).concurrence):.6f}")
     return 0
 
 
@@ -155,22 +158,21 @@ def _cmd_interval(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         rho = require_two_qubit(load_density(args.input))
+        t, chsh, closed, c, verdict = _measures(rho, planar_pi4_config())
     except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    verdict = ppt_verdict(rho)
-    closed = bmax(rho)
     print(f"trace: {np.trace(rho).real:.9g}")
     print("eigenvalues: " + " ".join(f"{v:.9g}" for v in hermitian_eig(rho).eigenvalues))
     print(f"min PT eigenvalue: {verdict.min_pt_eigenvalue:.9g}")
     print(f"verdict: {'entangled' if verdict.entangled else 'separable'}")
     print("T matrix:")
-    for row in correlation_matrix(rho):
+    for row in t:
         print("  " + " ".join(f"{v:.9g}" for v in row))
     print(f"bmax: {closed:.9g}")
-    print(f"chsh_pi4: {chsh_value(rho, planar_pi4_config()):.9g}")
-    print(f"concurrence: {concurrence(rho).concurrence:.9g}")
-    print(f"eof: {entanglement_of_formation(rho):.9g}")
+    print(f"chsh_pi4: {chsh:.9g}")
+    print(f"concurrence: {c:.9g}")
+    print(f"eof: {_eof(c):.9g}")
     if args.validate_bmax:
         numeric = bmax_numeric(rho, seed=args.seed)
         print(f"bmax numeric (seed {args.seed}): {numeric:.9g}")

@@ -35,13 +35,8 @@ class ConcurrenceResult:
     concurrence: float
 
 
-def concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    """Concurrence C = max(0, l1 - l2 - l3 - l4).
-
-    The l_i are the descending square roots of the eigenvalues of
-    sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state.
-    """
-    rho = validate_two_qubit(rho)
+def _concurrence(rho: np.ndarray) -> ConcurrenceResult:
+    # unchecked kernel of concurrence: rho must be a validated 4x4 state
     root = psd_sqrt(rho)
     m = root @ spin_flip(rho) @ root
     w = hermitian_eig(m).eigenvalues
@@ -49,6 +44,15 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     lambdas = np.sqrt(w)
     c = max(0.0, float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
     return ConcurrenceResult(lambdas=lambdas, concurrence=c)
+
+
+def concurrence(rho: np.ndarray) -> ConcurrenceResult:
+    """Concurrence C = max(0, l1 - l2 - l3 - l4).
+
+    The l_i are the descending square roots of the eigenvalues of
+    sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state.
+    """
+    return _concurrence(validate_two_qubit(rho))
 
 
 def binary_entropy(x: float) -> float:
@@ -60,10 +64,13 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
+def _eof(c: float) -> float:
+    return binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+
+
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
-    c = concurrence(rho).concurrence
-    return binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+    return _eof(concurrence(rho).concurrence)
 
 
 def concurrence_xstate_oracle(rho: np.ndarray) -> float:

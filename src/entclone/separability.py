@@ -35,14 +35,19 @@ class AlphaSquaredInterval:
     high: float
 
 
+def _verdict(rho: np.ndarray, tol: float) -> SeparabilityVerdict:
+    # unchecked kernel of ppt_verdict: rho must be a validated 4x4 state
+    pt = partial_transpose(rho)
+    low = float(np.linalg.eigvalsh((pt + dagger(pt)) / 2).min())
+    return SeparabilityVerdict(min_pt_eigenvalue=low, entangled=low < -tol, tolerance=tol)
+
+
 def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     """Classify a two-qubit state by the sign of its minimal PT eigenvalue.
 
     States with |min eigenvalue| <= tol are reported separable.
     """
-    pt = partial_transpose(validate_two_qubit(rho))
-    low = float(np.linalg.eigvalsh((pt + dagger(pt)) / 2).min())
-    return SeparabilityVerdict(min_pt_eigenvalue=low, entangled=low < -tol, tolerance=tol)
+    return _verdict(validate_two_qubit(rho), tol)
 
 
 def _bisect_boundary(
@@ -56,7 +61,7 @@ def _bisect_boundary(
                 f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], "
                 f"wider than tol {tol:g}"
             )
-        if ppt_verdict(bell_clone(scheme, float(np.sqrt(mid)))).entangled:
+        if _verdict(bell_clone(scheme, float(np.sqrt(mid))), PPT_TOL).entangled:
             entangled_end = mid
         else:
             separable_end = mid

@@ -21,8 +21,7 @@ from .errors import (
     NotPsdError,
     OutOfRangeError,
 )
-from .linalg import HERMITIAN_TOL, PSD_TOL, _as_square, dagger, hermiticity_defect
-from .linalg import require_two_qubit
+from .linalg import HERMITIAN_TOL, PSD_TOL, _as_square, dagger, hermiticity_defect, require_two_qubit
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10

@@ -1,6 +1,8 @@
 """Random-state builders shared across the test modules."""
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 
 def random_density(rng, dim=4):
@@ -17,3 +19,17 @@ def random_hermitian(rng, dim=4):
 def random_ket(rng, dim=2):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def densities(draw):
+    """Hypothesis strategy: valid 4x4 density matrices g g^dagger / tr."""
+    g = np.array(draw(st.lists(_entries, min_size=32, max_size=32))).reshape(2, 4, 4)
+    g = g[0] + 1j * g[1]
+    rho = g @ g.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-2)
+    return rho / trace

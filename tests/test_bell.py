@@ -119,11 +119,6 @@ def test_bmax_numeric_is_deterministic():
     assert bmax_numeric(rho, seed=5) == bmax_numeric(rho, seed=5)
 
 
-def test_bmax_numeric_restart_check():
-    with pytest.raises(ValueError):
-        bmax_numeric(np.eye(4) / 4.0, restarts=0)
-
-
 def test_bmax_never_exceeds_tsirelson():
     rng = np.random.default_rng(43)
     for _ in range(50):

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from entclone import BellKind, bell_state, density_from_pure, save_density
+from entclone import BellKind, bell_state, density_from_pure, save_density, states
 from entclone.cli import CSV_HEADER, main
 
 
@@ -99,6 +100,42 @@ def test_sweep_flag_validation(capsys):
     assert run_cli(["sweep", "--iterations", "-1"], capsys)[0] == 1
     assert run_cli(["sweep", "--scheme", "local", "--iterations", "2"], capsys)[0] == 1
     assert run_cli(["sweep", "--scheme", "pure", "--iterations", "1"], capsys)[0] == 1
+    assert run_cli(["sweep", "--scheme", "nonlocal", "--iterations", "101"], capsys)[0] == 1
+
+
+def test_sweep_iterations_bound(capsys):
+    code, _, err = run_cli(["sweep", "--scheme", "nonlocal", "--iterations", "101"], capsys)
+    assert code == 1
+    assert err.strip().splitlines()[-1].endswith("--iterations: must be at most 100, got 101")
+    code, out, _ = run_cli(["sweep", "--scheme", "nonlocal", "--iterations", "100", "--alpha", "0.6"], capsys)
+    assert code == 0
+    [row] = _rows(out)
+    # 101 rounds of the 3/5 shrink leave I/4 to machine precision
+    assert row[3] == 0.0
+    assert abs(row[4] - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["pure", "local", "nonlocal"])
+def test_sweep_validates_no_state_it_builds(scheme, capsys, monkeypatch):
+    original = states.validate_density
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("entclone") and getattr(module, "validate_density", None) is original:
+            monkeypatch.setattr(module, "validate_density", counting)
+    counts = []
+    for grid in ("2", "201"):
+        calls.clear()
+        assert run_cli(["sweep", "--scheme", scheme, "--grid", grid, "--iterations", "0"], capsys)[0] == 0
+        counts.append(len(calls))
+    assert counts == [0, 0]
+    # the counter does see the checks iterate keeps on every round
+    assert run_cli(["sweep", "--scheme", "nonlocal", "--grid", "2", "--iterations", "1"], capsys)[0] == 0
+    assert len(calls) > 0
 
 
 def test_table1_default_steps(capsys):
@@ -250,6 +287,20 @@ def test_analyze_wrong_trace(tmp_path, capsys):
     code, _, err = run_cli(["analyze", "--input", str(path)], capsys)
     assert code == 2
     assert "Trace" in err or "trace" in err
+
+
+def test_analyze_complex_correlation_is_an_invalid_input(tmp_path, capsys):
+    # anti-Hermitian residue within HERMITIAN_TOL per entry passes load_density,
+    # but four such entries give tr(rho sigma_x (x) sigma_x) an imaginary part of 1.96e-10
+    rho = np.eye(4, dtype=complex) / 4.0
+    for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+        rho[i, j] = 0.49e-10j
+    path = _write_state(tmp_path / "skew.json", rho)
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("NotHermitianError: correlation (0,0)")
+    assert err.count("\n") == 1
 
 
 def test_analyze_valid_two_by_two_state_is_an_invalid_input(tmp_path, capsys):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from entclone import (
     BadDimensionError,
@@ -22,7 +21,7 @@ from entclone import (
 )
 from entclone.cloning import REMIX_TOL, bell_clone
 
-from helpers import random_density
+from helpers import densities, random_density
 
 
 def _bell_density(kind, alpha):
@@ -164,19 +163,6 @@ def test_clones_of_product_states_stay_product_like():
     sa = shrink_channel(a, QUBIT_SHRINK)
     sb = shrink_channel(b, QUBIT_SHRINK)
     assert np.abs(out - kron(sa, sb)).max() < 1e-13
-
-
-_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-
-
-@st.composite
-def densities(draw):
-    g = np.array(draw(st.lists(_entries, min_size=32, max_size=32))).reshape(2, 4, 4)
-    g = g[0] + 1j * g[1]
-    rho = g @ g.conj().T
-    trace = np.trace(rho).real
-    assume(trace > 1e-2)
-    return rho / trace
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,6 +21,11 @@ DIGESTS = {
         "955652f60e6089f1e9730d17d73aa43adbdac2e6cad628ee0a8bc76e25df8af4",
     "sweep --scheme nonlocal --iterations 2 --grid 101":
         "f6c51218b580ed2f187555e97e5ccffcfbe8db448864e7c5c3c38297c869e5b6",
+    # high K: the small columns print 9 digits down to roundoff, so any reordered arithmetic shows
+    "sweep --scheme nonlocal --iterations 29 --grid 13":
+        "8792eae9a127f52f5677a7f8b826c86c126c8b78e0434747aa463e33fea77982",
+    "sweep --scheme nonlocal --iterations 61 --grid 6":
+        "5ca85722c8fb0604f9ae544172714382e0df8aff869f626ab4fd6c0a83b806f0",
     "table1 --steps 3":
         "1217b950210e0a5f435f9a68e8c1f2eab8604d24747f4889b91b22de0929b592",
     "interval --scheme local":
