@@ -52,19 +52,19 @@ class ChshConfig:
             object.__setattr__(self, name, _unit_vector(getattr(self, name)))
 
 
-def _correlations(rho: np.ndarray) -> np.ndarray:
-    # unchecked kernel of correlation_matrix: all nine traces in one stacked product
-    values = np.trace(rho @ _PAULI_PAIRS, axis1=2, axis2=3)
+def _correlations(rhos: np.ndarray) -> np.ndarray:
+    # unchecked kernel of correlation_matrix: (N, 3, 3) from an (N, 4, 4) stack
+    values = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
     complex_entries = np.argwhere(np.abs(values.imag) > 1e-10)
     if len(complex_entries):
-        i, j = complex_entries[0]
-        raise NotHermitianError(f"correlation ({i},{j}) has imaginary part {values[i, j].imag:.3e}")
+        n, i, j = complex_entries[0]
+        raise NotHermitianError(f"correlation ({i},{j}) has imaginary part {values[n, i, j].imag:.3e}")
     return values.real.copy()
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectation values tr(rho sigma_i (x) sigma_j)."""
-    return _correlations(validate_two_qubit(rho))
+    return _correlations(validate_two_qubit(rho)[None])[0]
 
 
 def correlation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -73,14 +73,15 @@ def correlation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ correlation_matrix(rho) @ b)
 
 
-def _chsh(t: np.ndarray, cfg: ChshConfig) -> float:
+def _chsh(t: np.ndarray, cfg: ChshConfig) -> np.ndarray:
+    # (N,) CHSH values from an (N, 3, 3) stack of correlation matrices
     a, a_prime, b, b_prime = cfg.a, cfg.a_prime, cfg.b, cfg.b_prime
-    return float(abs(a @ t @ b - a_prime @ t @ b + a @ t @ b_prime + a_prime @ t @ b_prime))
+    return np.abs(a @ t @ b - a_prime @ t @ b + a @ t @ b_prime + a_prime @ t @ b_prime)
 
 
 def chsh_value(rho: np.ndarray, cfg: ChshConfig) -> float:
     """CHSH quantity B for an explicit set of measurement directions."""
-    return _chsh(correlation_matrix(rho), cfg)
+    return float(_chsh(correlation_matrix(rho)[None], cfg)[0])
 
 
 def planar_pi4_config() -> ChshConfig:
@@ -99,9 +100,10 @@ def planar_pi4_config() -> ChshConfig:
     )
 
 
-def _bmax(t: np.ndarray) -> float:
-    u = np.linalg.eigvalsh(t.T @ t)
-    return float(2.0 * np.sqrt(max(u[-1] + u[-2], 0.0)))
+def _bmax(t: np.ndarray) -> np.ndarray:
+    # (N,) closed-form maxima from an (N, 3, 3) stack: one stacked eigvalsh of T^T T
+    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    return 2.0 * np.sqrt(np.maximum(u[:, -1] + u[:, -2], 0.0))
 
 
 def bmax(rho: np.ndarray) -> float:
@@ -109,7 +111,7 @@ def bmax(rho: np.ndarray) -> float:
 
     Closed form 2 sqrt(u1 + u2) from the two largest eigenvalues of T^T T.
     """
-    return _bmax(correlation_matrix(rho))
+    return float(_bmax(correlation_matrix(rho)[None])[0])
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from .separability import PPT_TOL, _verdict, entanglement_interval
 from .states import BellKind, bell_state, density_from_pure, load_density
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
+# a larger grid would only exhaust memory in np.linspace and the CSV text
+MAX_GRID = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +81,8 @@ def _build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="alpha-grid sweep as CSV")
     sweep.add_argument("--scheme", choices=[s.value for s in CloneScheme], default="pure")
-    sweep.add_argument("--grid", type=_int_arg(2), default=201,
-                       help="uniform grid points over [0, 1], endpoints included")
+    sweep.add_argument("--grid", type=_int_arg(2, MAX_GRID), default=201,
+                       help=f"uniform grid points over [0, 1], endpoints included (at most {MAX_GRID})")
     # (3/5)^k < 2^-52 for every k >= 71: rounds past that only add roundoff
     sweep.add_argument("--iterations", type=_int_arg(0, 100), default=0,
                        help="extra cloning steps beyond the first (nonlocal only, at most 100)")
@@ -105,24 +107,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _measures(rho, cfg):
+# rows measured per stack: bounds the (N, 3, 3, 4, 4) product behind T
+_BLOCK = 256
+
+
+def _measures(rhos, cfg):
     # every state reaching here came from a checked alpha, load_density or iterate
-    t = _correlations(rho)
-    return t, _chsh(t, cfg), _bmax(t), _concurrence(rho).concurrence, _verdict(rho, PPT_TOL)
+    t = _correlations(rhos)
+    low, entangled = _verdict(rhos, PPT_TOL)
+    return t, _chsh(t, cfg), _bmax(t), _concurrence(rhos)[1], low, entangled
 
 
-def _sweep_lines(scheme: CloneScheme, iterations: int, alphas) -> list[str]:
+def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> list[str]:
     cfg = planar_pi4_config()
     lines = [CSV_HEADER]
-    for alpha in alphas:
-        _, chsh, closed, c, verdict = _measures(bell_clone(scheme, float(alpha), iterations), cfg)
-        row = (float(alpha), chsh, closed, _eof(c), verdict.min_pt_eigenvalue)
-        lines.append(",".join(f"{value:.9g}" for value in row))
+    for start in range(0, len(alphas), _BLOCK):
+        block = alphas[start:start + _BLOCK]
+        _, chsh, closed, c, low, _ = _measures(bell_clone(scheme, block, iterations), cfg)
+        rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), map(_eof, c.tolist()), low.tolist())
+        lines.extend(",".join(f"{value:.9g}" for value in row) for row in rows)
     return lines
 
 
 def _cmd_sweep(args) -> int:
-    alphas = [args.alpha] if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
+    alphas = np.array([args.alpha]) if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
     text = "\n".join(_sweep_lines(CloneScheme(args.scheme), args.iterations, alphas)) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -140,8 +148,8 @@ def _cmd_table1(args) -> int:
     singlet = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
     sequence = iterate(singlet, CloneScheme.NONLOCAL, args.steps)
     print("step eof")
-    for step, state in enumerate(sequence.states):
-        print(f"{step} {_eof(_concurrence(state).concurrence):.6f}")
+    for step, c in enumerate(_concurrence(np.array(sequence.states))[1].tolist()):
+        print(f"{step} {_eof(c):.6f}")
     return 0
 
 
@@ -158,14 +166,14 @@ def _cmd_interval(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         rho = require_two_qubit(load_density(args.input))
-        t, chsh, closed, c, verdict = _measures(rho, planar_pi4_config())
+        t, chsh, closed, c, low, entangled = (m[0] for m in _measures(rho[None], planar_pi4_config()))
     except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(f"trace: {np.trace(rho).real:.9g}")
     print("eigenvalues: " + " ".join(f"{v:.9g}" for v in hermitian_eig(rho).eigenvalues))
-    print(f"min PT eigenvalue: {verdict.min_pt_eigenvalue:.9g}")
-    print(f"verdict: {'entangled' if verdict.entangled else 'separable'}")
+    print(f"min PT eigenvalue: {low:.9g}")
+    print(f"verdict: {'entangled' if entangled else 'separable'}")
     print("T matrix:")
     for row in t:
         print("  " + " ".join(f"{v:.9g}" for v in row))

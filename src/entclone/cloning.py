@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, OutOfRangeError
-from .linalg import hermitian_eig, kron, partial_trace
+from .linalg import _partial_trace, hermitian_eig, kron
 from .states import BellKind, bell_state, density_from_pure, validate_density, validate_two_qubit
 
 QUBIT_SHRINK = 2.0 / 3.0
@@ -48,7 +48,7 @@ class CloneScheme(enum.Enum):
         return {"pure": 1.0, "local": QUBIT_SHRINK, "nonlocal": REGISTER_SHRINK}[self.value]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Send a 4x4 density matrix through this scheme's channel.
+        """Send a 4x4 density matrix, or each of a stack (..., 4, 4), through this channel.
 
         Unchecked: rho must already be validated, or built by the caller.
         LOCAL is the tensor square of the single-qubit shrink map,
@@ -58,15 +58,13 @@ class CloneScheme(enum.Enum):
             return rho
         if self is CloneScheme.NONLOCAL:
             return REGISTER_SHRINK * rho + (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
-        rho_a = partial_trace(rho, (2, 2), "first")
-        rho_b = partial_trace(rho, (2, 2), "second")
+        rho_a = _partial_trace(rho, (2, 2), "first")
+        rho_b = _partial_trace(rho, (2, 2), "second")
         eye2 = np.eye(2)
-        return (
-            (4.0 / 9.0) * rho
-            + (1.0 / 9.0) * kron(rho_a, eye2)
-            + (1.0 / 9.0) * kron(eye2, rho_b)
-            + np.eye(4) / 36.0
-        )
+        # rho_a (x) I and I (x) rho_b: the products np.kron forms, broadcast over the stack
+        a_eye = (rho_a[..., :, None, :, None] * eye2[:, None, :]).reshape(rho.shape)
+        eye_b = (eye2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rho.shape)
+        return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + np.eye(4) / 36.0
 
 
 @dataclass
@@ -126,16 +124,17 @@ def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
     return CloneSequence(states=states, scheme=scheme)
 
 
-def bell_clone(scheme: CloneScheme, alpha: float, extra_rounds: int = 0) -> np.ndarray:
-    """Output of ``scheme`` on alpha|01> - beta|10>, after ``extra_rounds`` more rounds.
+def bell_clone(scheme: CloneScheme, alphas, extra_rounds: int = 0) -> np.ndarray:
+    """Outputs of ``scheme`` on alpha|01> - beta|10>, as an (N, 4, 4) stack over ``alphas``.
 
-    One round is the channel applied directly; extra rounds go through
-    ``iterate`` from the uncloned input, so every round keeps its remix check.
+    One round is the channel applied to the whole stack; extra rounds go
+    through ``iterate`` from each uncloned input, so every round keeps its
+    remix check.
     """
-    rho = density_from_pure(bell_state(BellKind.PSI_MINUS, alpha))
+    rhos = density_from_pure(bell_state(BellKind.PSI_MINUS, alphas))
     if extra_rounds == 0:
-        return scheme.apply(rho)
-    return iterate(rho, scheme, 1 + extra_rounds).states[-1]
+        return scheme.apply(rhos)
+    return np.array([iterate(rho, scheme, 1 + extra_rounds).states[-1] for rho in rhos])
 
 
 def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotXShapeError, OutOfRangeError
-from .linalg import PAULI_Y, hermitian_eig, kron, psd_sqrt, require_two_qubit
+from .linalg import PAULI_Y, _eigh, _psd_root, kron, require_two_qubit
 from .states import validate_two_qubit
 
 # eigenvalues of sqrt(rho) rho~ sqrt(rho) below this are eigensolver noise;
@@ -23,8 +23,11 @@ SIGMA_YY = kron(PAULI_Y, PAULI_Y).real.astype(complex)
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
     """Spin-flipped state (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
-    rho = require_two_qubit(np.asarray(rho, dtype=complex))
-    return SIGMA_YY @ rho.conj() @ SIGMA_YY
+    return _spin_flip(require_two_qubit(np.asarray(rho, dtype=complex)))
+
+
+def _spin_flip(rhos: np.ndarray) -> np.ndarray:
+    return SIGMA_YY @ rhos.conj() @ SIGMA_YY
 
 
 @dataclass(frozen=True)
@@ -35,15 +38,13 @@ class ConcurrenceResult:
     concurrence: float
 
 
-def _concurrence(rho: np.ndarray) -> ConcurrenceResult:
-    # unchecked kernel of concurrence: rho must be a validated 4x4 state
-    root = psd_sqrt(rho)
-    m = root @ spin_flip(rho) @ root
-    w = hermitian_eig(m).eigenvalues
-    w = np.where(w < NOISE_FLOOR, 0.0, w)
-    lambdas = np.sqrt(w)
-    c = max(0.0, float(lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
-    return ConcurrenceResult(lambdas=lambdas, concurrence=c)
+def _concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # unchecked kernel of concurrence: (N, 4) lambdas and (N,) C of validated 4x4 states
+    root = _psd_root(rhos)
+    w = _eigh(root @ _spin_flip(rhos) @ root).eigenvalues
+    lambdas = np.sqrt(np.where(w < NOISE_FLOOR, 0.0, w))
+    c = np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3])
+    return lambdas, c
 
 
 def concurrence(rho: np.ndarray) -> ConcurrenceResult:
@@ -52,7 +53,8 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     The l_i are the descending square roots of the eigenvalues of
     sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state.
     """
-    return _concurrence(validate_two_qubit(rho))
+    lambdas, c = _concurrence(validate_two_qubit(rho)[None])
+    return ConcurrenceResult(lambdas=lambdas[0], concurrence=float(c[0]))
 
 
 def binary_entropy(x: float) -> float:

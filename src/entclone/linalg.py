@@ -3,6 +3,11 @@
 Two-qubit operators use the computational basis ordered |00>, |01>, |10>, |11>
 with the first qubit as the most significant index.  All comparisons use the
 maximum absolute entry difference.
+
+The private helpers (``_eigh``, ``_psd_root``, ``_transpose_second``,
+``_partial_trace``) act on every matrix of a stack of shape (..., n, n) and
+make each check once per stack; the public functions check one square matrix
+and call them.
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ kron = np.kron
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Maximum absolute entry of m - m^dagger."""
+    """Maximum absolute entry of m - m^dagger (over the whole of a stack)."""
     return float(np.abs(m - dagger(m)).max())
 
 
@@ -48,6 +53,10 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
@@ -60,21 +69,35 @@ def require_two_qubit(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Diagonalize a Hermitian matrix.
-
-    Raises NotHermitianError if m deviates from m^dagger by more than
-    HERMITIAN_TOL in any entry.
-    """
-    m = _as_square(m)
-    defect = hermiticity_defect(m)
+def _eigh(m: np.ndarray) -> SpectralDecomposition:
+    # hermitian_eig of each matrix of a stack; one finite and one Hermiticity check for all
+    defect = hermiticity_defect(_finite(m))
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
     try:
         values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    return SpectralDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
+    return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())
+
+
+def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
+    """Diagonalize a Hermitian matrix.
+
+    Raises NotHermitianError if m deviates from m^dagger by more than
+    HERMITIAN_TOL in any entry.
+    """
+    return _eigh(_as_square(m))
+
+
+def _psd_root(m: np.ndarray) -> np.ndarray:
+    # psd_sqrt of each matrix of a stack; the PSD_TOL floor is checked on the stack minimum
+    values, vectors = _eigh(m)
+    low = float(values.min())
+    if low < -PSD_TOL:
+        raise NotPsdError(f"matrix is not positive semidefinite: min eigenvalue = {low:.3e}")
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ dagger(vectors)
+    return (root + dagger(root)) / 2
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -83,12 +106,12 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are clamped to 0; anything lower raises
     NotPsdError.
     """
-    values, vectors = hermitian_eig(m)
-    low = float(values.min())
-    if low < -PSD_TOL:
-        raise NotPsdError(f"matrix is not positive semidefinite: min eigenvalue = {low:.3e}")
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ dagger(vectors)
-    return (root + dagger(root)) / 2
+    return _psd_root(_as_square(m))
+
+
+def _transpose_second(m: np.ndarray) -> np.ndarray:
+    # partial_transpose of each 4x4 matrix of a stack: swap the second qubit's two indices
+    return _finite(m).reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(m.shape)
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -98,8 +121,18 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     input.  The map is an exact entry permutation, hence involutive and
     trace preserving.
     """
-    m = require_two_qubit(_as_square(m))
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
+    return _transpose_second(require_two_qubit(np.asarray(m, dtype=complex)))
+
+
+def _partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    # partial_trace of each matrix of a stack (..., dA dB, dA dB)
+    da, db = dims
+    t = m.reshape(*m.shape[:-2], da, db, da, db)
+    if keep == "first":
+        return np.einsum("...ijkj->...ik", t)
+    if keep == "second":
+        return np.einsum("...ijil->...jl", t)
+    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -107,13 +140,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
 
     ``keep`` selects the surviving factor, "first" or "second".
     """
-    m = _as_square(m)
-    da, db = dims
-    if m.shape[0] != da * db:
-        raise BadDimensionError(f"matrix of dim {m.shape[0]} does not factor as {da}x{db}")
-    t = m.reshape(da, db, da, db)
-    if keep == "first":
-        return np.einsum("ijkj->ik", t)
-    if keep == "second":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+    m = _finite(_as_square(m))
+    if m.shape[0] != dims[0] * dims[1]:
+        raise BadDimensionError(f"matrix of dim {m.shape[0]} does not factor as {dims[0]}x{dims[1]}")
+    return _partial_trace(m, dims, keep)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import dagger, partial_transpose
+from .linalg import _transpose_second, dagger
 from .states import validate_two_qubit
 
 PPT_TOL = 1e-10
@@ -35,11 +35,11 @@ class AlphaSquaredInterval:
     high: float
 
 
-def _verdict(rho: np.ndarray, tol: float) -> SeparabilityVerdict:
-    # unchecked kernel of ppt_verdict: rho must be a validated 4x4 state
-    pt = partial_transpose(rho)
-    low = float(np.linalg.eigvalsh((pt + dagger(pt)) / 2).min())
-    return SeparabilityVerdict(min_pt_eigenvalue=low, entangled=low < -tol, tolerance=tol)
+def _verdict(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # unchecked kernel of ppt_verdict: (N,) minimal PT eigenvalues and entangled flags
+    pt = _transpose_second(rhos)
+    low = np.linalg.eigvalsh((pt + dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
+    return low, low < -tol
 
 
 def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
@@ -47,7 +47,8 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
 
     States with |min eigenvalue| <= tol are reported separable.
     """
-    return _verdict(validate_two_qubit(rho), tol)
+    low, entangled = _verdict(validate_two_qubit(rho)[None], tol)
+    return SeparabilityVerdict(float(low[0]), bool(entangled[0]), tol)
 
 
 def _bisect_boundary(
@@ -61,7 +62,7 @@ def _bisect_boundary(
                 f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], "
                 f"wider than tol {tol:g}"
             )
-        if _verdict(bell_clone(scheme, float(np.sqrt(mid))), PPT_TOL).entangled:
+        if _verdict(bell_clone(scheme, [np.sqrt(mid)]), PPT_TOL)[1][0]:
             entangled_end = mid
         else:
             separable_end = mid

@@ -21,7 +21,7 @@ from .errors import (
     NotPsdError,
     OutOfRangeError,
 )
-from .linalg import HERMITIAN_TOL, PSD_TOL, _as_square, dagger, hermiticity_defect, require_two_qubit
+from .linalg import HERMITIAN_TOL, PSD_TOL, _as_square, _finite, dagger, hermiticity_defect, require_two_qubit
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -34,33 +34,41 @@ class BellKind(enum.Enum):
     PHI_PLUS = "phi_plus"
 
 
-def bell_state(kind: BellKind, alpha: float) -> np.ndarray:
+# indices of the alpha and beta amplitudes of each Bell-basis state, and beta's sign
+_BELL_SLOTS = {
+    BellKind.PSI_MINUS: ((1, 2), -1.0),
+    BellKind.PSI_PLUS: ((1, 2), 1.0),
+    BellKind.PHI_MINUS: ((0, 3), -1.0),
+    BellKind.PHI_PLUS: ((0, 3), 1.0),
+}
+
+
+def bell_state(kind: BellKind, alpha) -> np.ndarray:
     """Bell-basis pure state with amplitude alpha.
 
     PSI states are alpha|01> +/- beta|10>, PHI states alpha|00> +/- beta|11>,
-    with beta = sqrt(1 - alpha^2).
+    with beta = sqrt(1 - alpha^2).  An array of amplitudes gives a stack of
+    states of shape (..., 4).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise OutOfRangeError(f"alpha must lie in [0, 1], got {alpha}")
-    beta = np.sqrt(1.0 - alpha * alpha)
-    if kind is BellKind.PSI_MINUS:
-        amplitudes = (0.0, alpha, -beta, 0.0)
-    elif kind is BellKind.PSI_PLUS:
-        amplitudes = (0.0, alpha, beta, 0.0)
-    elif kind is BellKind.PHI_MINUS:
-        amplitudes = (alpha, 0.0, 0.0, -beta)
-    else:
-        amplitudes = (alpha, 0.0, 0.0, beta)
-    return np.array(amplitudes, dtype=complex)
+    alpha = np.asarray(alpha, dtype=float)
+    inside = (0.0 <= alpha) & (alpha <= 1.0)
+    if not inside.all():
+        raise OutOfRangeError(f"alpha must lie in [0, 1], got {alpha[~inside].flat[0]}")
+    psi = np.zeros(alpha.shape + (4,), dtype=complex)
+    (i_alpha, i_beta), sign = _BELL_SLOTS[kind]
+    psi[..., i_alpha] = alpha
+    psi[..., i_beta] = sign * np.sqrt(1.0 - alpha * alpha)
+    return psi
 
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """Projector |psi><psi| of a normalized pure state."""
+    """Projector |psi><psi| of a normalized pure state (of each state of a stack)."""
     psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NotNormalizedError(f"state norm must be 1, got {norm:.12g}")
-    return np.outer(psi, psi.conj())
+    norms = np.sqrt(np.vecdot(psi, psi).real)
+    off = np.abs(norms - 1.0) > NORM_TOL
+    if off.any():
+        raise NotNormalizedError(f"state norm must be 1, got {norms[off].flat[0]:.12g}")
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:
@@ -69,7 +77,7 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     Raises NotHermitianError, NotPsdError, or BadTraceError naming the violated
     invariant; eigenvalues in [-PSD_TOL, 0) are accepted as roundoff.
     """
-    m = _as_square(m)
+    m = _finite(_as_square(m))
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from entclone import BellKind, bell_state, density_from_pure, save_density, states
-from entclone.cli import CSV_HEADER, main
+from entclone.cli import CSV_HEADER, MAX_GRID, main
 
 
 def run_cli(args, capsys):
@@ -101,6 +101,7 @@ def test_sweep_flag_validation(capsys):
     assert run_cli(["sweep", "--scheme", "local", "--iterations", "2"], capsys)[0] == 1
     assert run_cli(["sweep", "--scheme", "pure", "--iterations", "1"], capsys)[0] == 1
     assert run_cli(["sweep", "--scheme", "nonlocal", "--iterations", "101"], capsys)[0] == 1
+    assert run_cli(["sweep", "--grid", str(MAX_GRID + 1)], capsys)[0] == 1
 
 
 def test_sweep_iterations_bound(capsys):

@@ -58,10 +58,10 @@ def test_pure_scheme_is_the_identity_channel():
 
 @pytest.mark.parametrize("scheme", list(CloneScheme))
 def test_bell_clone_applies_the_channel_once_then_iterates(scheme):
-    alpha = 0.6
-    rho = _bell_density(BellKind.PSI_MINUS, alpha)
-    assert np.array_equal(bell_clone(scheme, alpha), scheme.apply(rho))
-    assert np.array_equal(bell_clone(scheme, alpha, 2), iterate(rho, scheme, 3).states[-1])
+    alphas = [0.6, 0.0, 1.0]
+    rhos = [_bell_density(BellKind.PSI_MINUS, alpha) for alpha in alphas]
+    assert np.array_equal(bell_clone(scheme, alphas), [scheme.apply(rho) for rho in rhos])
+    assert np.array_equal(bell_clone(scheme, alphas, 2), [iterate(rho, scheme, 3).states[-1] for rho in rhos])
 
 
 def test_clone_nonlocal_is_register_shrink():

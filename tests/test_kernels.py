@@ -1,24 +1,40 @@
-"""Each public measure is one validation in front of an unchecked kernel."""
+"""Each public measure is one validation in front of an unchecked stacked kernel.
+
+The kernels take (N, 4, 4) stacks; a public measure is the N=1 case, and a
+stack must give every state the bytes it gets alone.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entclone import (
     PAULIS,
+    BadDimensionError,
+    BellKind,
     CloneScheme,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPsdError,
+    OutOfRangeError,
+    bell_state,
     bmax,
     chsh_value,
     concurrence,
     correlation_matrix,
+    density_from_pure,
     entanglement_of_formation,
     planar_pi4_config,
     ppt_verdict,
 )
 from entclone.bell import _bmax, _chsh, _correlations
+from entclone.cli import _BLOCK
 from entclone.entanglement import _concurrence, _eof
+from entclone.linalg import _eigh, _psd_root, _transpose_second
 from entclone.separability import PPT_TOL, _verdict
 
-from helpers import densities
+from helpers import densities, random_density
 
 
 def _nine_traces(rho):
@@ -35,15 +51,111 @@ def _nine_traces(rho):
 def test_public_measures_equal_their_kernels(rho):
     t = correlation_matrix(rho)
     assert t.tobytes() == _nine_traces(rho).tobytes()
-    assert t.tobytes() == _correlations(rho).tobytes()
+    assert t.tobytes() == _correlations(rho[None])[0].tobytes()
     cfg = planar_pi4_config()
-    assert chsh_value(rho, cfg) == _chsh(t, cfg)
-    assert bmax(rho) == _bmax(t)
-    public, kernel = concurrence(rho), _concurrence(rho)
-    assert public.concurrence == kernel.concurrence
-    assert np.array_equal(public.lambdas, kernel.lambdas)
-    assert entanglement_of_formation(rho) == _eof(kernel.concurrence)
-    assert ppt_verdict(rho) == _verdict(rho, PPT_TOL)
+    assert chsh_value(rho, cfg) == _chsh(t[None], cfg)[0]
+    assert bmax(rho) == _bmax(t[None])[0]
+    public, (lambdas, c) = concurrence(rho), _concurrence(rho[None])
+    assert public.concurrence == c[0]
+    assert public.lambdas.tobytes() == lambdas[0].tobytes()
+    assert entanglement_of_formation(rho) == _eof(c[0])
+    low, entangled = _verdict(rho[None], PPT_TOL)
+    verdict = ppt_verdict(rho)
+    assert (verdict.min_pt_eigenvalue, verdict.entangled) == (low[0], entangled[0])
+
+
+def _stacked_kernels(rhos):
+    # every stacked kernel on one stack; each value has the stack axis first
+    cfg = planar_pi4_config()
+    t = _correlations(rhos)
+    values, vectors = _eigh(rhos)
+    lambdas, c = _concurrence(rhos)
+    low, entangled = _verdict(rhos, PPT_TOL)
+    return [
+        t, _chsh(t, cfg), _bmax(t), values, vectors, _psd_root(rhos), lambdas, c, low,
+        entangled, _transpose_second(rhos), CloneScheme.LOCAL.apply(rhos),
+        CloneScheme.NONLOCAL.apply(rhos),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, _BLOCK + 3])
+@settings(max_examples=10, deadline=None)
+@given(st.lists(densities(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_stacked_kernels_equal_their_n1_calls(n, pool, seed):
+    picks = np.random.default_rng(seed).integers(len(pool), size=n)
+    rhos = np.array([pool[i] for i in picks])
+    stacked = _stacked_kernels(rhos)
+    alone = [_stacked_kernels(rhos[k:k + 1]) for k in range(n)]
+    for index, whole in enumerate(stacked):
+        assert whole.shape[0] == n
+        assert whole.tobytes() == np.concatenate([one[index] for one in alone]).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_BLOCK + 3), st.sampled_from(list(BellKind)))
+def test_stacked_bell_builder_equals_its_scalar_calls(alphas, kind):
+    stacked = density_from_pure(bell_state(kind, alphas))
+    alone = [density_from_pure(bell_state(kind, alpha)) for alpha in alphas]
+    assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+def _with_member(member, n=5, at=3):
+    rhos = np.array([random_density(np.random.default_rng(k)) for k in range(n)])
+    rhos[at] = member
+    return rhos
+
+
+_NOT_PSD = np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex)
+_NOT_HERMITIAN = np.eye(4, dtype=complex) / 4
+_NOT_HERMITIAN[0, 1] = 0.1j
+_NOT_FINITE = np.full((4, 4), np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "kernel, member, error",
+    [
+        (_concurrence, _NOT_PSD, NotPsdError),
+        (_concurrence, _NOT_HERMITIAN, NotHermitianError),
+        (_concurrence, _NOT_FINITE, ValueError),
+        (_correlations, _NOT_HERMITIAN, NotHermitianError),
+        (lambda rhos: _verdict(rhos, PPT_TOL), _NOT_FINITE, ValueError),
+    ],
+    ids=["concurrence-psd", "concurrence-hermitian", "concurrence-finite",
+         "correlations-hermitian", "verdict-finite"],
+)
+def test_one_bad_member_fails_the_stack_like_the_n1_call(kernel, member, error):
+    raised = []
+    for rhos in (member[None], _with_member(member)):
+        with pytest.raises(error) as info:
+            kernel(rhos)
+        raised.append(type(info.value))
+    assert raised[0] is raised[1] is error
+
+
+def test_correlation_error_names_the_first_entry_of_the_bad_member():
+    messages = []
+    for rhos in (_NOT_HERMITIAN[None], _with_member(_NOT_HERMITIAN)):
+        with pytest.raises(NotHermitianError) as info:
+            _correlations(rhos)
+        messages.append(str(info.value))
+    assert messages == ["correlation (2,0) has imaginary part 1.000e-01"] * 2
+
+
+def test_stacked_bell_builder_keeps_its_checks():
+    with pytest.raises(OutOfRangeError, match="got 1.5"):
+        bell_state(BellKind.PSI_MINUS, [0.2, 1.5, -0.5])
+    with pytest.raises(OutOfRangeError):
+        bell_state(BellKind.PSI_MINUS, [0.2, np.nan])
+    psi = bell_state(BellKind.PHI_PLUS, [0.0, 0.6, 1.0])
+    psi[1] *= 1.001
+    with pytest.raises(NotNormalizedError, match="1.001"):
+        density_from_pure(psi)
+
+
+@pytest.mark.parametrize("measure", [correlation_matrix, bmax, concurrence, ppt_verdict])
+def test_public_measures_take_one_state_not_a_stack(measure):
+    with pytest.raises(BadDimensionError):
+        measure(_with_member(np.eye(4) / 4))
 
 
 @settings(max_examples=60, deadline=None)

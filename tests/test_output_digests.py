@@ -19,6 +19,13 @@ DIGESTS = {
         "59312e424b3dc3dc2555376706f1667252e881d2e6f23bd69b5e2e2ef112555f",
     "sweep --scheme nonlocal --grid 201":
         "955652f60e6089f1e9730d17d73aa43adbdac2e6cad628ee0a8bc76e25df8af4",
+    # the largest bench grid: several full row blocks and a partial last one
+    "sweep --scheme pure --grid 2001":
+        "94115e2e8f6e693298e8fa1a5128b439935427ec4ed657658caf07a0f9b40e13",
+    "sweep --scheme local --grid 2001":
+        "0d46cfb95b9924e6db69af816be342e064e534d9fbfee818210549150628fde5",
+    "sweep --scheme nonlocal --grid 2001":
+        "b633b0682661df278687fa7a96be6a1d6e47dde967a5ed9845d61571fedf3ac8",
     "sweep --scheme nonlocal --iterations 2 --grid 101":
         "f6c51218b580ed2f187555e97e5ccffcfbe8db448864e7c5c3c38297c869e5b6",
     # high K: the small columns print 9 digits down to roundoff, so any reordered arithmetic shows
