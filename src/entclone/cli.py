@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .bell import _bmax, _chsh, _correlations, bmax_numeric, planar_pi4_config
-from .cloning import CloneScheme, bell_clone, iterate
+from .cloning import CloneScheme, _iterate, bell_clone
 from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
 from .linalg import hermitian_eig, require_two_qubit
@@ -91,7 +91,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     table1 = sub.add_parser("table1", help="singlet EoF under repeated non-local cloning")
-    table1.add_argument("--steps", type=_int_arg(1), default=3)
+    # EoF prints 0.000000 from step 3 on; the cap matches sweep --iterations
+    table1.add_argument("--steps", type=_int_arg(1, 100), default=3,
+                        help="non-local cloning steps (at most 100)")
 
     interval = sub.add_parser("interval", help="inseparability interval in alpha^2")
     interval.add_argument("--scheme", choices=["local", "nonlocal"], required=True)
@@ -115,7 +117,8 @@ def _measures(rhos, cfg):
     # every state reaching here came from a checked alpha, load_density or iterate
     t = _correlations(rhos)
     low, entangled = _verdict(rhos, PPT_TOL)
-    return t, _chsh(t, cfg), _bmax(t), _concurrence(rhos)[1], low, entangled
+    c = _concurrence(rhos)[1]
+    return t, _chsh(t, cfg), _bmax(t), c, _eof(c), low, entangled
 
 
 def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> list[str]:
@@ -123,8 +126,8 @@ def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> li
     lines = [CSV_HEADER]
     for start in range(0, len(alphas), _BLOCK):
         block = alphas[start:start + _BLOCK]
-        _, chsh, closed, c, low, _ = _measures(bell_clone(scheme, block, iterations), cfg)
-        rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), map(_eof, c.tolist()), low.tolist())
+        _, chsh, closed, _, eof, low, _ = _measures(bell_clone(scheme, block, iterations), cfg)
+        rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), eof.tolist(), low.tolist())
         lines.extend(",".join(f"{value:.9g}" for value in row) for row in rows)
     return lines
 
@@ -146,10 +149,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table1(args) -> int:
     singlet = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
-    sequence = iterate(singlet, CloneScheme.NONLOCAL, args.steps)
+    sequence = np.concatenate(list(_iterate(singlet[None], CloneScheme.NONLOCAL, args.steps)))
     print("step eof")
-    for step, c in enumerate(_concurrence(np.array(sequence.states))[1].tolist()):
-        print(f"{step} {_eof(c):.6f}")
+    for step, eof in enumerate(_eof(_concurrence(sequence)[1]).tolist()):
+        print(f"{step} {eof:.6f}")
     return 0
 
 
@@ -166,7 +169,7 @@ def _cmd_interval(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         rho = require_two_qubit(load_density(args.input))
-        t, chsh, closed, c, low, entangled = (m[0] for m in _measures(rho[None], planar_pi4_config()))
+        t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rho[None], planar_pi4_config()))
     except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -180,7 +183,7 @@ def _cmd_analyze(args) -> int:
     print(f"bmax: {closed:.9g}")
     print(f"chsh_pi4: {chsh:.9g}")
     print(f"concurrence: {c:.9g}")
-    print(f"eof: {_eof(c):.9g}")
+    print(f"eof: {eof:.9g}")
     if args.validate_bmax:
         numeric = bmax_numeric(rho, seed=args.seed)
         print(f"bmax numeric (seed {args.seed}): {numeric:.9g}")

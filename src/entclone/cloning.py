@@ -20,13 +20,15 @@ the positive map whose inseparability threshold is 16 alpha beta = 5.
 from __future__ import annotations
 
 import enum
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDimensionError, OutOfRangeError
-from .linalg import _partial_trace, hermitian_eig, kron
-from .states import BellKind, bell_state, density_from_pure, validate_density, validate_two_qubit
+from .linalg import _eigh, _partial_trace, kron
+from .states import BellKind, _check_densities, bell_state, density_from_pure, validate_density, validate_two_qubit
 
 QUBIT_SHRINK = 2.0 / 3.0
 REGISTER_SHRINK = 3.0 / 5.0
@@ -97,44 +99,53 @@ def clone_local(rho: np.ndarray) -> np.ndarray:
     return CloneScheme.LOCAL.apply(validate_two_qubit(rho))
 
 
+def _iterate(rhos: np.ndarray, scheme: CloneScheme, n: int) -> Iterator[np.ndarray]:
+    # iterate over an (N, 4, 4) stack of valid states: yields the n + 1 stacks visited
+    yield rhos
+    for _ in range(n):
+        weights, vectors = _eigh(rhos)
+        # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]
+        clones = scheme.apply(density_from_pure(vectors.swapaxes(-1, -2)))
+        remixed = np.zeros_like(rhos)
+        # summed term by term in eigenvalue order; a .sum over k reorders the additions
+        for k in range(4):
+            remixed = remixed + weights[:, k, None, None] * clones[:, k]
+        gap = float(np.abs(remixed - scheme.apply(rhos)).max())
+        if gap > REMIX_TOL:
+            raise RuntimeError(
+                f"eigenbasis remixing deviates from the direct channel by {gap:.3e}"
+            )
+        rhos = _check_densities(remixed)
+        yield rhos
+
+
 def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
     """Clone a state n times, feeding each output back in as the next input.
 
     A mixed intermediate state is first diagonalized, each eigenvector is
     cloned separately, and the results are remixed with the eigenvalue
     weights.  Channel linearity makes this equal to cloning the mixed state
-    directly; both are computed and required to agree within REMIX_TOL.
+    directly; both are computed and required to agree within REMIX_TOL, and
+    every output is checked as a density matrix.
     """
     if n < 0:
         raise OutOfRangeError(f"step count must be non-negative, got {n}")
-    states = [validate_two_qubit(rho)]
-    for _ in range(n):
-        current = states[-1]
-        weights, vectors = hermitian_eig(current)
-        remixed = np.zeros_like(current)
-        for weight, vector in zip(weights, vectors.T):
-            remixed = remixed + weight * scheme.apply(np.outer(vector, vector.conj()))
-        direct = scheme.apply(current)
-        gap = float(np.abs(remixed - direct).max())
-        if gap > REMIX_TOL:
-            raise RuntimeError(
-                f"eigenbasis remixing deviates from the direct channel by {gap:.3e}"
-            )
-        states.append(validate_density(remixed))
-    return CloneSequence(states=states, scheme=scheme)
+    stacks = _iterate(validate_two_qubit(rho)[None], scheme, n)
+    return CloneSequence(states=[stack[0] for stack in stacks], scheme=scheme)
 
 
 def bell_clone(scheme: CloneScheme, alphas, extra_rounds: int = 0) -> np.ndarray:
     """Outputs of ``scheme`` on alpha|01> - beta|10>, as an (N, 4, 4) stack over ``alphas``.
 
-    One round is the channel applied to the whole stack; extra rounds go
-    through ``iterate`` from each uncloned input, so every round keeps its
-    remix check.
+    One round is the channel applied to the whole stack; with extra rounds
+    the stack goes through 1 + extra_rounds stacked ``iterate`` rounds, each
+    keeping its remix check.
     """
     rhos = density_from_pure(bell_state(BellKind.PSI_MINUS, alphas))
     if extra_rounds == 0:
         return scheme.apply(rhos)
-    return np.array([iterate(rho, scheme, 1 + extra_rounds).states[-1] for rho in rhos])
+    # keep only the last stack, so each round's stack is freed once the next is built
+    return deque(_iterate(rhos, scheme, 1 + extra_rounds), maxlen=1).pop()
 
 
 def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:

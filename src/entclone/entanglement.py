@@ -57,22 +57,28 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     return ConcurrenceResult(lambdas=lambdas[0], concurrence=float(c[0]))
 
 
+def _entropy(x: np.ndarray) -> np.ndarray:
+    # binary entropy of each entry of an array in [0, 1]; exactly 0 at 0 and 1
+    inner = (x != 0.0) & (x != 1.0)
+    x = np.where(inner, x, 0.5)  # keeps log2 off 0, which would warn on stderr
+    return np.where(inner, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
+
+
 def binary_entropy(x: float) -> float:
     """Shannon entropy -x log2 x - (1-x) log2 (1-x), with 0 log 0 = 0."""
     if not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"binary entropy argument must lie in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+    return float(_entropy(np.float64(x)))
 
 
-def _eof(c: float) -> float:
-    return binary_entropy((1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0)
+def _eof(c: np.ndarray) -> np.ndarray:
+    # entanglement of formation of each concurrence of an array
+    return _entropy((1.0 + np.sqrt(np.maximum(1.0 - c * c, 0.0))) / 2.0)
 
 
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
-    return _eof(concurrence(rho).concurrence)
+    return float(_eof(_concurrence(validate_two_qubit(rho)[None])[1])[0])
 
 
 def concurrence_xstate_oracle(rho: np.ndarray) -> float:

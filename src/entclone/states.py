@@ -71,23 +71,28 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
+def _check_densities(m: np.ndarray) -> np.ndarray:
+    # validate_density of each matrix of a stack (..., n, n); one reduction per check for all
+    defect = hermiticity_defect(_finite(m))
+    if defect > HERMITIAN_TOL:
+        raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
+    low = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
+    if low < -PSD_TOL:
+        raise NotPsdError(f"not positive semidefinite: min eigenvalue = {low:.3e}")
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        raise BadTraceError(f"trace must be 1, got {traces[off].flat[0].real:.12g}")
+    return m
+
+
 def validate_density(m: np.ndarray) -> np.ndarray:
     """Check that m is a density matrix and return it as a complex array.
 
     Raises NotHermitianError, NotPsdError, or BadTraceError naming the violated
     invariant; eigenvalues in [-PSD_TOL, 0) are accepted as roundoff.
     """
-    m = _finite(_as_square(m))
-    defect = hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
-    low = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
-    if low < -PSD_TOL:
-        raise NotPsdError(f"not positive semidefinite: min eigenvalue = {low:.3e}")
-    trace = complex(np.trace(m))
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise BadTraceError(f"trace must be 1, got {trace.real:.12g}")
-    return m
+    return _check_densities(_as_square(m))
 
 
 def validate_two_qubit(m: np.ndarray) -> np.ndarray:

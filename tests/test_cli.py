@@ -118,25 +118,26 @@ def test_sweep_iterations_bound(capsys):
 
 @pytest.mark.parametrize("scheme", ["pure", "local", "nonlocal"])
 def test_sweep_validates_no_state_it_builds(scheme, capsys, monkeypatch):
-    original = states.validate_density
+    # every density check, validate_density included, is a call of the stacked one
+    original = states._check_densities
     calls = []
 
     def counting(m):
-        calls.append(m)
+        calls.append(m.shape)
         return original(m)
 
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("entclone") and getattr(module, "validate_density", None) is original:
-            monkeypatch.setattr(module, "validate_density", counting)
+        if module.__name__.startswith("entclone") and getattr(module, "_check_densities", None) is original:
+            monkeypatch.setattr(module, "_check_densities", counting)
     counts = []
     for grid in ("2", "201"):
         calls.clear()
         assert run_cli(["sweep", "--scheme", scheme, "--grid", grid, "--iterations", "0"], capsys)[0] == 0
         counts.append(len(calls))
     assert counts == [0, 0]
-    # the counter does see the checks iterate keeps on every round
+    # the counter does see the check iterate keeps on every round: one per round for the whole block
     assert run_cli(["sweep", "--scheme", "nonlocal", "--grid", "2", "--iterations", "1"], capsys)[0] == 0
-    assert len(calls) > 0
+    assert calls == [(2, 4, 4)] * 2
 
 
 def test_table1_default_steps(capsys):
@@ -170,6 +171,15 @@ def test_table1_single_step(capsys):
 
 def test_table1_rejects_zero_steps(capsys):
     assert run_cli(["table1", "--steps", "0"], capsys)[0] == 1
+
+
+def test_table1_steps_bound(capsys):
+    code, _, err = run_cli(["table1", "--steps", "101"], capsys)
+    assert code == 1
+    assert err.strip().splitlines()[-1].endswith("--steps: must be at most 100, got 101")
+    code, out, _ = run_cli(["table1", "--steps", "100"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "100 0.000000"
 
 
 def test_interval_local(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from entclone import (
     PAULIS,
     BadDimensionError,
+    BadTraceError,
     BellKind,
     CloneScheme,
     NotHermitianError,
@@ -25,14 +26,18 @@ from entclone import (
     correlation_matrix,
     density_from_pure,
     entanglement_of_formation,
+    iterate,
     planar_pi4_config,
     ppt_verdict,
 )
+from entclone import cloning
 from entclone.bell import _bmax, _chsh, _correlations
 from entclone.cli import _BLOCK
+from entclone.cloning import _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof
 from entclone.linalg import _eigh, _psd_root, _transpose_second
 from entclone.separability import PPT_TOL, _verdict
+from entclone.states import _check_densities
 
 from helpers import densities, random_density
 
@@ -91,6 +96,44 @@ def test_stacked_kernels_equal_their_n1_calls(n, pool, seed):
         assert whole.tobytes() == np.concatenate([one[index] for one in alone]).tobytes()
 
 
+@pytest.mark.parametrize("scheme", [CloneScheme.LOCAL, CloneScheme.NONLOCAL])
+@pytest.mark.parametrize("n", [1, 2, 7, _BLOCK + 3])
+@settings(max_examples=5, deadline=None)
+@given(st.lists(densities(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_stacked_iterate_equals_its_per_row_calls(scheme, n, pool, seed):
+    picks = np.random.default_rng(seed).integers(len(pool), size=n)
+    rhos = np.array([pool[i] for i in picks])
+    stacks = list(_iterate(rhos, scheme, 3))
+    rows = [iterate(rho, scheme, 3).states for rho in rhos]
+    assert len(stacks) == 4
+    for step, stack in enumerate(stacks):
+        assert stack.tobytes() == np.array([states[step] for states in rows]).tobytes()
+
+
+def test_stacked_remix_check_is_live(monkeypatch):
+    monkeypatch.setattr(cloning, "REMIX_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="eigenbasis remixing"):
+        iterate(np.eye(4) / 4, CloneScheme.NONLOCAL, 1)
+    with pytest.raises(RuntimeError, match="eigenbasis remixing"):
+        bell_clone(CloneScheme.NONLOCAL, [0.0, 0.6, 1.0], 1)
+
+
+def _scalar_eof(c):
+    # the per-value EoF the stacked kernel replaced, kept as its reference
+    x = (1.0 + np.sqrt(max(1.0 - c * c, 0.0))) / 2.0
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_BLOCK + 3))
+def test_stacked_eof_equals_the_per_value_formula(cs):
+    cs = np.array(cs + [0.0, 1.0, 1.0 - 1e-16, 1e-8, 1e-16])
+    expected = np.array([_scalar_eof(c) for c in cs.tolist()])
+    assert _eof(cs).tobytes() == expected.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_BLOCK + 3), st.sampled_from(list(BellKind)))
 def test_stacked_bell_builder_equals_its_scalar_calls(alphas, kind):
@@ -109,6 +152,7 @@ _NOT_PSD = np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex)
 _NOT_HERMITIAN = np.eye(4, dtype=complex) / 4
 _NOT_HERMITIAN[0, 1] = 0.1j
 _NOT_FINITE = np.full((4, 4), np.nan, dtype=complex)
+_BAD_TRACE = np.eye(4, dtype=complex) / 2
 
 
 @pytest.mark.parametrize(
@@ -119,9 +163,14 @@ _NOT_FINITE = np.full((4, 4), np.nan, dtype=complex)
         (_concurrence, _NOT_FINITE, ValueError),
         (_correlations, _NOT_HERMITIAN, NotHermitianError),
         (lambda rhos: _verdict(rhos, PPT_TOL), _NOT_FINITE, ValueError),
+        (_check_densities, _NOT_FINITE, ValueError),
+        (_check_densities, _NOT_HERMITIAN, NotHermitianError),
+        (_check_densities, _NOT_PSD, NotPsdError),
+        (_check_densities, _BAD_TRACE, BadTraceError),
     ],
     ids=["concurrence-psd", "concurrence-hermitian", "concurrence-finite",
-         "correlations-hermitian", "verdict-finite"],
+         "correlations-hermitian", "verdict-finite", "density-finite", "density-hermitian",
+         "density-psd", "density-trace"],
 )
 def test_one_bad_member_fails_the_stack_like_the_n1_call(kernel, member, error):
     raised = []
