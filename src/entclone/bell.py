@@ -115,7 +115,8 @@ def bmax(rho: np.ndarray) -> float:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    # np.linalg.norm(rows, axis=1) of a real array, without its Python overhead
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
     return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 1e-15)
 
 
@@ -127,15 +128,11 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     random starting direction pairs.  Deterministic for fixed seed.
     """
     t = correlation_matrix(rho)
-    rng = np.random.default_rng(seed)
-    b = _unit_rows(rng.standard_normal((BMAX_RESTARTS, 3)))
-    b_prime = _unit_rows(rng.standard_normal((BMAX_RESTARTS, 3)))
+    n = BMAX_RESTARTS
+    # b and b' (then a and a') stacked as rows [:n] and [n:], so each half-step is one product
+    b = _unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)))
     for _ in range(300):
-        a = _unit_rows((b + b_prime) @ t.T)
-        a_prime = _unit_rows((b_prime - b) @ t.T)
-        b = _unit_rows((a - a_prime) @ t)
-        b_prime = _unit_rows((a + a_prime) @ t)
-    values = np.linalg.norm((b + b_prime) @ t.T, axis=1) + np.linalg.norm(
-        (b_prime - b) @ t.T, axis=1
-    )
-    return float(values.max())
+        a = _unit_rows(np.concatenate((b[:n] + b[n:], b[n:] - b[:n])) @ t.T)
+        b = _unit_rows(np.concatenate((a[:n] - a[n:], a[:n] + a[n:])) @ t)
+    values = np.linalg.norm(np.concatenate((b[:n] + b[n:], b[n:] - b[:n])) @ t.T, axis=1)
+    return float((values[:n] + values[n:]).max())

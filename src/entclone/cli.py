@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
     analyze.add_argument("--input", required=True, help="JSON density-matrix file")
     analyze.add_argument("--validate-bmax", action="store_true",
                          help="cross-check the closed-form maximum numerically")
-    analyze.add_argument("--seed", type=int, default=0,
+    analyze.add_argument("--seed", type=_int_arg(0), default=0,
                          help="seed for the numerical cross-check restarts")
 
     return parser

@@ -18,6 +18,8 @@ from .states import validate_two_qubit
 
 PPT_TOL = 1e-10
 BISECTION_TOL = 1e-8
+# bisection levels whose midpoints are evaluated as one stack
+_TREE_DEPTH = 4
 
 
 @dataclass
@@ -55,17 +57,27 @@ def _bisect_boundary(
     scheme: CloneScheme, separable_end: float, entangled_end: float, tol: float
 ) -> float:
     while abs(entangled_end - separable_end) > tol:
-        mid = (separable_end + entangled_end) / 2
-        if mid in (separable_end, entangled_end):
-            low, high = sorted((separable_end, entangled_end))
-            raise NoConvergenceError(
-                f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], "
-                f"wider than tol {tol:g}"
-            )
-        if _verdict(bell_clone(scheme, [np.sqrt(mid)]), PPT_TOL)[1][0]:
-            entangled_end = mid
-        else:
-            separable_end = mid
+        # midpoints of the next _TREE_DEPTH bisection levels in heap order, as one stack:
+        # node k splits its bracket into 2k + 1 (mid entangled) and 2k + 2 (mid separable)
+        brackets, mids = [(separable_end, entangled_end)], []
+        while len(mids) < 2**_TREE_DEPTH - 1:
+            sep, ent = brackets[len(mids)]
+            mids.append((sep + ent) / 2)
+            brackets += [(sep, mids[-1]), (mids[-1], ent)]
+        entangled = _verdict(bell_clone(scheme, np.sqrt(mids)), PPT_TOL)[1]
+        node = 0
+        while node < len(mids) and abs(entangled_end - separable_end) > tol:
+            mid = mids[node]
+            if mid in (separable_end, entangled_end):
+                low, high = sorted((separable_end, entangled_end))
+                raise NoConvergenceError(
+                    f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], "
+                    f"wider than tol {tol:g}"
+                )
+            if entangled[node]:
+                entangled_end, node = mid, 2 * node + 1
+            else:
+                separable_end, node = mid, 2 * node + 2
     return (separable_end + entangled_end) / 2
 
 

@@ -137,6 +137,8 @@ def load_density(path: str | Path) -> np.ndarray:
         raise ValueError(f"cannot read state file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("state file nests JSON too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ValueError("state file must hold a JSON object")
     return density_from_dict(data)

@@ -292,6 +292,25 @@ def test_analyze_garbled_json(tmp_path, capsys):
     assert "JSON" in err or "json" in err
 
 
+def test_analyze_deeply_nested_json_is_an_invalid_input(tmp_path, capsys):
+    # json.loads raises RecursionError past the interpreter's recursion limit (1000 by default)
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 3000)
+    code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "ValueError: state file nests JSON too deeply to parse\n"
+
+
+def test_analyze_negative_seed_is_a_usage_error(tmp_path, capsys):
+    path = _write_state(tmp_path / "mixed.json", np.eye(4) / 4.0)
+    code, out, err = run_cli(["analyze", "--input", path, "--validate-bmax", "--seed", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.endswith("argument --seed: must be at least 0, got -1\n")
+    assert "Traceback" not in err
+
+
 def test_analyze_wrong_trace(tmp_path, capsys):
     path = tmp_path / "heavy.json"
     path.write_text(json.dumps({"dim": 4, "re": (np.eye(4) / 2.0).tolist(), "im": np.zeros((4, 4)).tolist()}))

@@ -46,6 +46,11 @@ DIGESTS = {
         "c340d10195341eba98afdf362e2b4ad5a93efa9e4ef70c41e59a23637c953de0",
     "interval --scheme nonlocal":
         "3436bc04e93f6ca2facbc4ef992287ea74221da216c38d0c8ec1ca23419289d6",
+    # the finest bench tolerance: the longest bracket walk that still converges
+    "interval --scheme local --tol 1e-14":
+        "c340d10195341eba98afdf362e2b4ad5a93efa9e4ef70c41e59a23637c953de0",
+    "interval --scheme nonlocal --tol 1e-14":
+        "3436bc04e93f6ca2facbc4ef992287ea74221da216c38d0c8ec1ca23419289d6",
 }
 
 

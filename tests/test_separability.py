@@ -133,10 +133,20 @@ def test_interval_endpoints_are_pinned_for_reachable_tolerances(scheme, tol, low
     assert (interval.low, interval.high) == (low, high)
 
 
+# the exact stall messages: the bracket reached is that of one sequential bisection
+STALL_MESSAGES = {
+    "local": "bisection stalled at alpha^2 bracket [0.1096876252802443, 0.10968762528024431], "
+             "wider than tol 1e-30",
+    "nonlocal": "bisection stalled at alpha^2 bracket [0.02859547926789388, 0.028595479267893884], "
+                "wider than tol 1e-30",
+}
+
+
 @pytest.mark.parametrize("scheme", ["local", "nonlocal"])
 def test_interval_raises_when_the_midpoint_stops_splitting_the_bracket(scheme):
     with pytest.raises(NoConvergenceError) as info:
         entanglement_interval(scheme, tol=1e-30)
+    assert str(info.value) == STALL_MESSAGES[scheme]
     found = re.search(r"bracket \[(\S+), (\S+)\]", str(info.value))
     low, high = float(found.group(1)), float(found.group(2))
     # two adjacent floats at the paper's endpoint, which PPT_TOL moves by ~1e-10

@@ -138,6 +138,10 @@ def test_load_density_bad_files(tmp_path):
     listing.write_text(json.dumps([1, 2, 3]))
     with pytest.raises(ValueError):
         load_density(listing)
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 3000)
+    with pytest.raises(ValueError, match="too deeply"):
+        load_density(nested)
 
 
 TWO_QUBIT_FUNCTIONS = [
