@@ -77,6 +77,7 @@ from .states import (
 
 __version__ = "0.1.0"
 
+# type checkers treat imported names as private unless listed; `import *` would add the submodules
 __all__ = [
     "AlphaSquaredInterval",
     "BadDimensionError",

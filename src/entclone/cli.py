@@ -170,7 +170,7 @@ def _cmd_analyze(args) -> int:
     try:
         rho = require_two_qubit(load_density(args.input))
         t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rho[None], planar_pi4_config()))
-    except ValueError as exc:
+    except (ValueError, NoConvergenceError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     print(f"trace: {np.trace(rho).real:.9g}")

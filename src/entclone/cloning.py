@@ -44,11 +44,6 @@ class CloneScheme(enum.Enum):
     LOCAL = "local"
     NONLOCAL = "nonlocal"
 
-    @property
-    def shrink(self) -> float:
-        """Shrink factor of the underlying cloner (per qubit for LOCAL, 1 for PURE)."""
-        return {"pure": 1.0, "local": QUBIT_SHRINK, "nonlocal": REGISTER_SHRINK}[self.value]
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Send a 4x4 density matrix, or each of a stack (..., 4, 4), through this channel.
 
@@ -100,10 +95,11 @@ def clone_local(rho: np.ndarray) -> np.ndarray:
 
 
 def _iterate(rhos: np.ndarray, scheme: CloneScheme, n: int) -> Iterator[np.ndarray]:
-    # iterate over an (N, 4, 4) stack of valid states: yields the n + 1 stacks visited
+    # iterate over an (N, 4, 4) stack of valid states: yields the n + 1 stacks visited;
+    # each round's density check hands its eigendecomposition to the next round
     yield rhos
+    weights, vectors = _eigh(rhos)
     for _ in range(n):
-        weights, vectors = _eigh(rhos)
         # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]
         clones = scheme.apply(density_from_pure(vectors.swapaxes(-1, -2)))
         remixed = np.zeros_like(rhos)
@@ -115,7 +111,8 @@ def _iterate(rhos: np.ndarray, scheme: CloneScheme, n: int) -> Iterator[np.ndarr
             raise RuntimeError(
                 f"eigenbasis remixing deviates from the direct channel by {gap:.3e}"
             )
-        rhos = _check_densities(remixed)
+        weights, vectors = _check_densities(remixed)
+        rhos = remixed
         yield rhos
 
 

@@ -4,10 +4,12 @@ Two-qubit operators use the computational basis ordered |00>, |01>, |10>, |11>
 with the first qubit as the most significant index.  All comparisons use the
 maximum absolute entry difference.
 
-The private helpers (``_eigh``, ``_psd_root``, ``_transpose_second``,
-``_partial_trace``) act on every matrix of a stack of shape (..., n, n) and
-make each check once per stack; the public functions check one square matrix
-and call them.
+The private helpers (``_eigh``, ``_psd_eigh``, ``_psd_root``,
+``_transpose_second``, ``_partial_trace``) act on every matrix of a stack of
+shape (..., n, n) and make each check once per stack; the public functions
+check one square matrix and call them.  The finite and Hermiticity checks are
+written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``,
+which ``_psd_root`` and the density check in ``states`` both call.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
     # hermitian_eig of each matrix of a stack; one finite and one Hermiticity check for all
     defect = hermiticity_defect(_finite(m))
     if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian: max |m - m^dagger| = {defect:.3e}")
+        raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
     try:
         values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
     except np.linalg.LinAlgError as exc:
@@ -90,12 +92,18 @@ def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     return _eigh(_as_square(m))
 
 
-def _psd_root(m: np.ndarray) -> np.ndarray:
-    # psd_sqrt of each matrix of a stack; the PSD_TOL floor is checked on the stack minimum
-    values, vectors = _eigh(m)
-    low = float(values.min())
+def _psd_eigh(m: np.ndarray) -> SpectralDecomposition:
+    # _eigh of each matrix of a stack plus the PSD_TOL floor, checked on the stack minimum
+    decomposition = _eigh(m)
+    low = float(decomposition.eigenvalues.min())
     if low < -PSD_TOL:
-        raise NotPsdError(f"matrix is not positive semidefinite: min eigenvalue = {low:.3e}")
+        raise NotPsdError(f"not positive semidefinite: min eigenvalue = {low:.3e}")
+    return decomposition
+
+
+def _psd_root(m: np.ndarray) -> np.ndarray:
+    # psd_sqrt of each matrix of a stack
+    values, vectors = _psd_eigh(m)
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ dagger(vectors)
     return (root + dagger(root)) / 2
 

@@ -13,15 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    BadTraceError,
-    NotHermitianError,
-    NotNormalizedError,
-    NotPsdError,
-    OutOfRangeError,
-)
-from .linalg import HERMITIAN_TOL, PSD_TOL, _as_square, _finite, dagger, hermiticity_defect, require_two_qubit
+from .errors import BadDimensionError, BadTraceError, NotNormalizedError, OutOfRangeError
+from .linalg import SpectralDecomposition, _as_square, _psd_eigh, require_two_qubit
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -71,28 +64,26 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def _check_densities(m: np.ndarray) -> np.ndarray:
-    # validate_density of each matrix of a stack (..., n, n); one reduction per check for all
-    defect = hermiticity_defect(_finite(m))
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
-    low = float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
-    if low < -PSD_TOL:
-        raise NotPsdError(f"not positive semidefinite: min eigenvalue = {low:.3e}")
+def _check_densities(m: np.ndarray) -> SpectralDecomposition:
+    # validate_density of each matrix of a stack (..., n, n); returns its checked eigendecomposition
+    decomposition = _psd_eigh(m)
     traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():
         raise BadTraceError(f"trace must be 1, got {traces[off].flat[0].real:.12g}")
-    return m
+    return decomposition
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:
     """Check that m is a density matrix and return it as a complex array.
 
     Raises NotHermitianError, NotPsdError, or BadTraceError naming the violated
-    invariant; eigenvalues in [-PSD_TOL, 0) are accepted as roundoff.
+    invariant; eigenvalues in [-PSD_TOL, 0) are accepted as roundoff.  Raises
+    NoConvergenceError if the eigensolver fails on m.
     """
-    return _check_densities(_as_square(m))
+    m = _as_square(m)
+    _check_densities(m)
+    return m
 
 
 def validate_two_qubit(m: np.ndarray) -> np.ndarray:
@@ -116,7 +107,7 @@ def density_from_dict(data: dict) -> np.ndarray:
         dim = int(data["dim"])
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed density payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise BadDimensionError(

@@ -333,6 +333,27 @@ def test_analyze_complex_correlation_is_an_invalid_input(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_analyze_infinite_dim_is_an_invalid_input(tmp_path, capsys):
+    # JSON reads 1e400 as float infinity, which int() cannot convert
+    path = tmp_path / "infinite.json"
+    path.write_text('{"dim": 1e400, "re": [[1.0]], "im": [[0.0]]}')
+    code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "ValueError: malformed density payload: cannot convert float infinity to integer\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_analyze_state_the_eigensolver_cannot_diagonalize_is_an_invalid_input(tmp_path, capsys):
+    # finite, Hermitian entries whose symmetrized sum overflows to inf
+    path = _write_state(tmp_path / "huge.json", np.full((4, 4), 1e308))
+    code, out, err = run_cli(["analyze", "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "NoConvergenceError: Eigenvalues did not converge\n"
+
+
 def test_analyze_valid_two_by_two_state_is_an_invalid_input(tmp_path, capsys):
     path = _write_state(tmp_path / "qubit.json", np.eye(2) / 2.0)
     code, out, err = run_cli(["analyze", "--input", path], capsys)

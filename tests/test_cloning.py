@@ -45,9 +45,8 @@ def test_shrink_channel_eta_bounds():
 
 
 def test_scheme_shrink_factors():
-    assert CloneScheme.PURE.shrink == 1.0
-    assert CloneScheme.LOCAL.shrink == QUBIT_SHRINK == 2.0 / 3.0
-    assert CloneScheme.NONLOCAL.shrink == REGISTER_SHRINK == 3.0 / 5.0
+    assert QUBIT_SHRINK == 2.0 / 3.0
+    assert REGISTER_SHRINK == 3.0 / 5.0
 
 
 def test_pure_scheme_is_the_identity_channel():

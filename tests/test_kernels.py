@@ -26,18 +26,21 @@ from entclone import (
     correlation_matrix,
     density_from_pure,
     entanglement_of_formation,
+    hermitian_eig,
     iterate,
     planar_pi4_config,
     ppt_verdict,
+    psd_sqrt,
+    validate_density,
 )
 from entclone import cloning
 from entclone.bell import _bmax, _chsh, _correlations
 from entclone.cli import _BLOCK
 from entclone.cloning import _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof
-from entclone.linalg import _eigh, _psd_root, _transpose_second
+from entclone.linalg import HERMITIAN_TOL, PSD_TOL, _eigh, _psd_root, _transpose_second
 from entclone.separability import PPT_TOL, _verdict
-from entclone.states import _check_densities
+from entclone.states import TRACE_TOL, _check_densities
 
 from helpers import densities, random_density
 
@@ -110,6 +113,20 @@ def test_stacked_iterate_equals_its_per_row_calls(scheme, n, pool, seed):
         assert stack.tobytes() == np.array([states[step] for states in rows]).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_each_iterate_round_makes_one_eigensolve(n, monkeypatch):
+    # one eigh before the rounds, then one per round inside its density check
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    rhos = density_from_pure(bell_state(BellKind.PSI_MINUS, np.linspace(0.0, 1.0, 5)))
+    assert len(list(_iterate(rhos, CloneScheme.NONLOCAL, n))) == n + 1
+    assert calls == {"eigh": n + 1, "eigvalsh": 0}
+
+
 def test_stacked_remix_check_is_live(monkeypatch):
     monkeypatch.setattr(cloning, "REMIX_TOL", -1.0)
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
@@ -179,6 +196,46 @@ def test_one_bad_member_fails_the_stack_like_the_n1_call(kernel, member, error):
             kernel(rhos)
         raised.append(type(info.value))
     assert raised[0] is raised[1] is error
+
+
+def _off_hermitian(defect):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = defect * 1j
+    return m
+
+
+def _below_psd(depth):
+    return np.diag([0.5, 0.25, 0.25 + depth, -depth]).astype(complex)
+
+
+def _off_trace(excess):
+    return np.diag([0.25 + excess, 0.25, 0.25, 0.25]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "tol, member, error, public",
+    [
+        (HERMITIAN_TOL, _off_hermitian, NotHermitianError, hermitian_eig),
+        (PSD_TOL, _below_psd, NotPsdError, psd_sqrt),
+        (TRACE_TOL, _off_trace, BadTraceError, None),
+    ],
+    ids=["hermitian", "psd", "trace"],
+)
+def test_density_checks_hold_their_tolerance_edges(tol, member, error, public):
+    # half the tolerance passes and twice it raises, alone, through the public
+    # linalg function the check guards, and as the last member of a stack
+    paths = [validate_density, lambda m: _check_densities(_with_member(m, n=3, at=2))]
+    if public is not None:
+        paths.append(public)
+    for path in paths:
+        path(member(tol / 2))
+    messages = []
+    for path in paths:
+        with pytest.raises(ValueError) as info:
+            path(member(2 * tol))
+        assert type(info.value) is error
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
 
 
 def test_correlation_error_names_the_first_entry_of_the_bad_member():

@@ -142,6 +142,10 @@ def test_load_density_bad_files(tmp_path):
     nested.write_text("[" * 3000)
     with pytest.raises(ValueError, match="too deeply"):
         load_density(nested)
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"dim": 1e400, "re": [[1.0]], "im": [[0.0]]}')
+    with pytest.raises(ValueError, match="malformed density payload"):
+        load_density(infinite)
 
 
 TWO_QUBIT_FUNCTIONS = [
