@@ -53,7 +53,6 @@ from .linalg import (
     SpectralDecomposition,
     dagger,
     hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
     psd_sqrt,
@@ -120,7 +119,6 @@ __all__ = [
     "entanglement_of_formation",
     "hermitian_eig",
     "iterate",
-    "kron",
     "load_density",
     "partial_trace",
     "partial_transpose",

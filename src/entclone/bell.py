@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError
-from .linalg import PAULIS, kron
+from .linalg import PAULIS
 from .states import validate_two_qubit
 
 UNIT_TOL = 1e-12
 BMAX_RESTARTS = 64  # random starting direction pairs of bmax_numeric
 
 # sigma_i (x) sigma_j observables, shape (3, 3, 4, 4) indexed [i, j]
-_PAULI_PAIRS = np.array([[kron(a, b) for b in PAULIS] for a in PAULIS])
+_PAULI_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:

@@ -89,15 +89,18 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--alpha", type=_alpha_arg, default=None,
                        help="emit a single row at this alpha instead of the grid")
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    sweep.set_defaults(run=_cmd_sweep)
 
     table1 = sub.add_parser("table1", help="singlet EoF under repeated non-local cloning")
     # EoF prints 0.000000 from step 3 on; the cap matches sweep --iterations
     table1.add_argument("--steps", type=_int_arg(1, 100), default=3,
                         help="non-local cloning steps (at most 100)")
+    table1.set_defaults(run=_cmd_table1)
 
     interval = sub.add_parser("interval", help="inseparability interval in alpha^2")
     interval.add_argument("--scheme", choices=["local", "nonlocal"], required=True)
     interval.add_argument("--tol", type=_positive_float, default=1e-8)
+    interval.set_defaults(run=_cmd_interval)
 
     analyze = sub.add_parser("analyze", help="report on a density matrix from a JSON file")
     analyze.add_argument("--input", required=True, help="JSON density-matrix file")
@@ -105,6 +108,7 @@ def _build_parser() -> _Parser:
                          help="cross-check the closed-form maximum numerically")
     analyze.add_argument("--seed", type=_int_arg(0), default=0,
                          help="seed for the numerical cross-check restarts")
+    analyze.set_defaults(run=_cmd_analyze)
 
     return parser
 
@@ -133,6 +137,8 @@ def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> li
 
 
 def _cmd_sweep(args) -> int:
+    if args.iterations and args.scheme != "nonlocal":
+        _PARSER.error("--iterations applies only to --scheme nonlocal")
     alphas = np.array([args.alpha]) if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
     text = "\n".join(_sweep_lines(CloneScheme(args.scheme), args.iterations, alphas)) + "\n"
     if args.out is None:
@@ -191,18 +197,13 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sweep":
-        if args.iterations and args.scheme != "nonlocal":
-            parser.error("--iterations applies only to --scheme nonlocal")
-        return _cmd_sweep(args)
-    if args.command == "table1":
-        return _cmd_table1(args)
-    if args.command == "interval":
-        return _cmd_interval(args)
-    return _cmd_analyze(args)
+    args = _PARSER.parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

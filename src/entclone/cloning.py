@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, OutOfRangeError
-from .linalg import _eigh, _partial_trace, kron
+from .linalg import _eigh, _partial_trace
 from .states import BellKind, _check_densities, bell_state, density_from_pure, validate_density, validate_two_qubit
 
 QUBIT_SHRINK = 2.0 / 3.0
@@ -100,8 +100,9 @@ def _iterate(rhos: np.ndarray, scheme: CloneScheme, n: int) -> Iterator[np.ndarr
     yield rhos
     weights, vectors = _eigh(rhos)
     for _ in range(n):
-        # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]
-        clones = scheme.apply(density_from_pure(vectors.swapaxes(-1, -2)))
+        # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]; the remix check vets eigh's norms
+        kets = vectors.swapaxes(-1, -2)
+        clones = scheme.apply(kets[..., :, None] * kets.conj()[..., None, :])
         remixed = np.zeros_like(rhos)
         # summed term by term in eigenvalue order; a .sum over k reorders the additions
         for k in range(4):
@@ -158,4 +159,4 @@ def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
         raise BadDimensionError(f"supported clone dimensions are 2 and 4, got {d}")
     swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
     sym = (np.eye(d * d) + swap) / 2
-    return (2.0 / (d + 1)) * sym @ kron(rho, np.eye(d)) @ sym
+    return (2.0 / (d + 1)) * sym @ np.kron(rho, np.eye(d)) @ sym

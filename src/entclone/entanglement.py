@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotXShapeError, OutOfRangeError
-from .linalg import PAULI_Y, _eigh, _psd_root, kron, require_two_qubit
+from .linalg import PAULI_Y, _eigh, _psd_root, require_two_qubit
 from .states import validate_two_qubit
 
 # eigenvalues of sqrt(rho) rho~ sqrt(rho) below this are eigensolver noise;
@@ -18,7 +18,7 @@ X_SHAPE_TOL = 1e-12
 
 # sigma_y (x) sigma_y in the computational basis; it is real, so the
 # imaginary parts are dropped rather than kept as signed zeros
-SIGMA_YY = kron(PAULI_Y, PAULI_Y).real.astype(complex)
+SIGMA_YY = np.kron(PAULI_Y, PAULI_Y).real.astype(complex)
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:

@@ -28,9 +28,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
-kron = np.kron
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of each matrix of a stack)."""
     return np.swapaxes(m.conj(), -1, -2)
@@ -77,7 +74,9 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
     if defect > HERMITIAN_TOL:
         raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
     try:
-        values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
+        # entries near the float maximum overflow here; eigh's LinAlgError reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())

@@ -1,4 +1,6 @@
+import argparse
 import json
+import subprocess
 import sys
 
 import numpy as np
@@ -27,6 +29,32 @@ def test_no_subcommand_is_a_usage_error(capsys):
     code, _, err = run_cli([], capsys)
     assert code == 1
     assert "usage" in err
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    original = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(["sweep", "--grid", "2"], capsys)[0] == 0
+    assert run_cli(["interval", "--scheme", "local", "--tol", "0.1"], capsys)[0] == 0
+    assert run_cli(["sweep", "--grid", "1"], capsys)[0] == 1
+    assert built == []
+
+
+def test_flags_of_one_call_do_not_carry_into_the_next(capsys):
+    argv = ["sweep", "--scheme", "pure", "--grid", "3"]
+    assert run_cli(["sweep", "--scheme", "pure", "--alpha", "0.3"], capsys)[0] == 0
+    code, out, _ = run_cli(argv, capsys)
+    fresh = subprocess.run([sys.executable, "-m", "entclone.cli", *argv], capture_output=True, text=True)
+    assert code == 0
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
+    assert len(_rows(out)) == 3
 
 
 def test_sweep_single_alpha_pure(capsys):
@@ -343,8 +371,6 @@ def test_analyze_infinite_dim_is_an_invalid_input(tmp_path, capsys):
     assert err == "ValueError: malformed density payload: cannot convert float infinity to integer\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_analyze_state_the_eigensolver_cannot_diagonalize_is_an_invalid_input(tmp_path, capsys):
     # finite, Hermitian entries whose symmetrized sum overflows to inf
     path = _write_state(tmp_path / "huge.json", np.full((4, 4), 1e308))

@@ -15,9 +15,10 @@ from entclone import (
     density_from_pure,
     entanglement_of_formation,
     iterate,
-    kron,
     spin_flip,
 )
+
+from entclone.entanglement import NOISE_FLOOR
 
 from helpers import random_density
 
@@ -52,7 +53,7 @@ def test_concurrence_of_separable_states_is_zero():
     rng = np.random.default_rng(51)
     a = random_density(rng, 2)
     b = random_density(rng, 2)
-    assert concurrence(kron(a, b)).concurrence < 1e-8
+    assert concurrence(np.kron(a, b)).concurrence < 1e-8
 
 
 def test_concurrence_of_pure_states():
@@ -67,6 +68,14 @@ def test_werner_concurrence():
     assert abs(concurrence(_werner(0.8)).concurrence - 0.7) < 1e-12
     assert concurrence(_werner(1.0 / 3.0)).concurrence < 1e-9
     assert concurrence(_werner(0.2)).concurrence == 0.0
+
+
+def test_concurrence_holds_its_noise_floor_edge():
+    # sqrt(rho) rho~ sqrt(rho) is rho^2 for a Werner state: three eigenvalues ((1 - p) / 4)^2
+    half = concurrence(_werner(1.0 - 4.0 * np.sqrt(NOISE_FLOOR / 2))).lambdas
+    twice = concurrence(_werner(1.0 - 4.0 * np.sqrt(2 * NOISE_FLOOR))).lambdas
+    assert half[1:].tolist() == [0.0, 0.0, 0.0]
+    assert (twice[1:] > 0.0).all()
 
 
 def test_binary_entropy_values():
@@ -88,7 +97,7 @@ def test_eof_of_product_state_is_zero():
     rng = np.random.default_rng(52)
     a = random_density(rng, 2)
     b = random_density(rng, 2)
-    assert entanglement_of_formation(kron(a, b)) < 1e-12
+    assert entanglement_of_formation(np.kron(a, b)) < 1e-12
 
 
 def test_eof_after_each_cloning_round():

@@ -14,9 +14,10 @@ from entclone import (
     clone_nonlocal,
     density_from_pure,
     entanglement_interval,
-    kron,
     ppt_verdict,
 )
+
+from entclone.separability import PPT_TOL, _verdict
 
 from helpers import random_density
 
@@ -39,12 +40,26 @@ def test_maximally_mixed_is_separable():
     assert abs(verdict.min_pt_eigenvalue - 0.25) < 1e-14
 
 
+def test_ppt_verdict_holds_its_tolerance_edge():
+    # the Werner state p psi- + (1 - p) I/4 has minimal PT eigenvalue (1 - 3p) / 4
+    singlet = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
+    half, twice = (
+        p * singlet + (1.0 - p) * np.eye(4) / 4.0
+        for p in ((1.0 + 2 * PPT_TOL) / 3.0, (1.0 + 8 * PPT_TOL) / 3.0)
+    )
+    assert not ppt_verdict(half).entangled
+    assert ppt_verdict(twice).entangled
+    low, entangled = _verdict(np.stack([half, twice]), PPT_TOL)
+    assert entangled.tolist() == [False, True]
+    assert np.allclose(low, [-PPT_TOL / 2, -2 * PPT_TOL], rtol=1e-6, atol=0.0)
+
+
 def test_product_states_are_separable():
     rng = np.random.default_rng(30)
     for _ in range(10):
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        assert not ppt_verdict(kron(a, b)).entangled
+        assert not ppt_verdict(np.kron(a, b)).entangled
 
 
 def test_ppt_verdict_needs_two_qubits():

@@ -26,6 +26,8 @@ from entclone import (
     validate_density,
 )
 
+from entclone.states import NORM_TOL
+
 from helpers import random_density
 
 
@@ -61,6 +63,13 @@ def test_density_from_pure_projector():
 def test_density_from_pure_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
         density_from_pure(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_density_from_pure_holds_its_norm_tolerance_edge():
+    ket = bell_state(BellKind.PSI_MINUS, np.sqrt(0.5))
+    density_from_pure(ket * (1.0 + NORM_TOL / 2))
+    with pytest.raises(NotNormalizedError):
+        density_from_pure(ket * (1.0 + 2 * NORM_TOL))
 
 
 def test_validate_density_accepts_random_states():
