@@ -30,6 +30,7 @@ from .separability import PPT_TOL, _verdict, entanglement_interval
 from .states import BellKind, bell_state, density_from_pure, load_density
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g"
 # a larger grid would only exhaust memory in np.linspace and the CSV text
 MAX_GRID = 1_000_000
 
@@ -42,37 +43,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _arg_type(convert, noun, rules):
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        for valid, requirement in rules:
+            if not valid(value):
+                raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
+        return value
+
+    return parse
+
+
 def _int_arg(minimum, maximum=None):
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
-        return value
-
-    return parse
+    rules = [(lambda v: v >= minimum, f"must be at least {minimum}")]
+    if maximum is not None:
+        rules.append((lambda v: v <= maximum, f"must be at most {maximum}"))
+    return _arg_type(int, "an integer", rules)
 
 
-def _float_where(valid, requirement):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-        if not valid(value):
-            raise argparse.ArgumentTypeError(f"{requirement}, got {value}")
-        return value
-
-    return parse
-
-
-_alpha_arg = _float_where(lambda v: 0.0 <= v <= 1.0, "alpha must lie in [0, 1]")
+_alpha_arg = _arg_type(float, "a number", [(lambda v: 0.0 <= v <= 1.0, "alpha must lie in [0, 1]")])
 # v > 0.0 is False for NaN, so a NaN tolerance is a usage error too
-_positive_float = _float_where(lambda v: v > 0.0, "must be positive")
+_positive_float = _arg_type(float, "a number", [(lambda v: v > 0.0, "must be positive")])
 
 
 def _build_parser() -> _Parser:
@@ -117,22 +111,21 @@ def _build_parser() -> _Parser:
 _BLOCK = 256
 
 
-def _measures(rhos, cfg):
+def _measures(rhos):
     # every state reaching here came from a checked alpha, load_density or iterate
     t = _correlations(rhos)
     low, entangled = _verdict(rhos, PPT_TOL)
     c = _concurrence(rhos)[1]
-    return t, _chsh(t, cfg), _bmax(t), c, _eof(c), low, entangled
+    return t, _chsh(t, _PI4), _bmax(t), c, _eof(c), low, entangled
 
 
 def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> list[str]:
-    cfg = planar_pi4_config()
     lines = [CSV_HEADER]
     for start in range(0, len(alphas), _BLOCK):
         block = alphas[start:start + _BLOCK]
-        _, chsh, closed, _, eof, low, _ = _measures(bell_clone(scheme, block, iterations), cfg)
+        _, chsh, closed, _, eof, low, _ = _measures(bell_clone(scheme, block, iterations))
         rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), eof.tolist(), low.tolist())
-        lines.extend(",".join(f"{value:.9g}" for value in row) for row in rows)
+        lines.extend(_CSV_ROW % row for row in rows)
     return lines
 
 
@@ -175,7 +168,7 @@ def _cmd_interval(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         rho = require_two_qubit(load_density(args.input))
-        t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rho[None], planar_pi4_config()))
+        t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rho[None]))
     except (ValueError, NoConvergenceError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -197,8 +190,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-# built once per process: parse_args keeps no state between calls
+# built once per process: parse_args keeps no state between calls, and nothing writes to _PI4
 _PARSER = _build_parser()
+_PI4 = planar_pi4_config()
 
 
 def main(argv=None) -> int:

@@ -48,6 +48,7 @@ class CloneScheme(enum.Enum):
         """Send a 4x4 density matrix, or each of a stack (..., 4, 4), through this channel.
 
         Unchecked: rho must already be validated, or built by the caller.
+        Affine, not linear: the constant identity term assumes tr rho = 1.
         LOCAL is the tensor square of the single-qubit shrink map,
         rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36.
         """

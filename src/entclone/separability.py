@@ -16,6 +16,7 @@ from .errors import NoConvergenceError, OutOfRangeError
 from .linalg import _transpose_second, dagger
 from .states import validate_two_qubit
 
+# a min PT eigenvalue in [-PPT_TOL, 0) reads separable though concurrence is positive there
 PPT_TOL = 1e-10
 BISECTION_TOL = 1e-8
 # bisection levels whose midpoints are evaluated as one stack

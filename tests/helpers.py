@@ -1,8 +1,13 @@
-"""Random-state builders shared across the test modules."""
+"""Random-state builders and the child-process environment shared across the test modules."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
+
+import entclone
 
 
 def random_density(rng, dim=4):
@@ -33,3 +38,10 @@ def densities(draw):
     trace = np.trace(rho).real
     assume(trace > 1e-2)
     return rho / trace
+
+
+def package_env():
+    """os.environ with the imported entclone's source directory first on PYTHONPATH."""
+    src = str(Path(entclone.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}

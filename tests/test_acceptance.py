@@ -29,7 +29,7 @@ from entclone import (
 )
 from entclone.cli import main as cli_main
 
-from helpers import random_density
+from helpers import package_env, random_density
 
 GRID = np.linspace(0.0, 1.0, 1001)
 ROOT_HALF = np.sqrt(0.5)
@@ -216,8 +216,8 @@ def test_c12_sweep_output_is_byte_identical(tmp_path):
     second = target.read_bytes()
 
     cmd = [sys.executable, "-m", "entclone.cli", "sweep", "--scheme", "local", "--grid", "51"]
-    run_a = subprocess.run(cmd, capture_output=True)
-    run_b = subprocess.run(cmd, capture_output=True)
+    run_a = subprocess.run(cmd, capture_output=True, env=package_env())
+    run_b = subprocess.run(cmd, capture_output=True, env=package_env())
     ok = (
         first == second
         and len(first) > 0

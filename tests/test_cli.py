@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from entclone import BellKind, bell_state, density_from_pure, save_density, states
+from entclone import BellKind, ChshConfig, bell_state, density_from_pure, save_density, states
 from entclone.cli import CSV_HEADER, MAX_GRID, main
+
+from helpers import package_env
 
 
 def run_cli(args, capsys):
@@ -46,11 +48,29 @@ def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     assert built == []
 
 
+def test_main_builds_no_chsh_config_per_call(tmp_path, capsys, monkeypatch):
+    original = ChshConfig.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChshConfig, "__init__", counting)
+    path = _write_state(tmp_path / "mixed.json", np.eye(4) / 4.0)
+    assert run_cli(["sweep", "--grid", "2"], capsys)[0] == 0
+    assert run_cli(["sweep", "--scheme", "nonlocal", "--iterations", "1", "--alpha", "0.6"], capsys)[0] == 0
+    assert run_cli(["analyze", "--input", path], capsys)[0] == 0
+    assert built == []
+
+
 def test_flags_of_one_call_do_not_carry_into_the_next(capsys):
     argv = ["sweep", "--scheme", "pure", "--grid", "3"]
     assert run_cli(["sweep", "--scheme", "pure", "--alpha", "0.3"], capsys)[0] == 0
     code, out, _ = run_cli(argv, capsys)
-    fresh = subprocess.run([sys.executable, "-m", "entclone.cli", *argv], capture_output=True, text=True)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "entclone.cli", *argv], capture_output=True, text=True, env=package_env()
+    )
     assert code == 0
     assert fresh.returncode == 0
     assert out == fresh.stdout
@@ -130,6 +150,33 @@ def test_sweep_flag_validation(capsys):
     assert run_cli(["sweep", "--scheme", "pure", "--iterations", "1"], capsys)[0] == 1
     assert run_cli(["sweep", "--scheme", "nonlocal", "--iterations", "101"], capsys)[0] == 1
     assert run_cli(["sweep", "--grid", str(MAX_GRID + 1)], capsys)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--grid", "1"], "entclone sweep: error: argument --grid: must be at least 2, got 1"),
+        (["sweep", "--grid", "x"], "entclone sweep: error: argument --grid: not an integer: 'x'"),
+        (["sweep", "--grid", "1000001"], "entclone sweep: error: argument --grid: must be at most 1000000, got 1000001"),
+        (["sweep", "--alpha", "1.5"], "entclone sweep: error: argument --alpha: alpha must lie in [0, 1], got 1.5"),
+        (["sweep", "--alpha", "nan"], "entclone sweep: error: argument --alpha: alpha must lie in [0, 1], got nan"),
+        (["sweep", "--alpha", "abc"], "entclone sweep: error: argument --alpha: not a number: 'abc'"),
+        (["interval", "--scheme", "local", "--tol", "0"], "entclone interval: error: argument --tol: must be positive, got 0.0"),
+        (["interval", "--scheme", "local", "--tol", "nan"], "entclone interval: error: argument --tol: must be positive, got nan"),
+        (["interval", "--scheme", "local", "--tol", "x"], "entclone interval: error: argument --tol: not a number: 'x'"),
+        (["sweep", "--iterations", "101"], "entclone sweep: error: argument --iterations: must be at most 100, got 101"),
+        (["sweep", "--iterations", "-1"], "entclone sweep: error: argument --iterations: must be at least 0, got -1"),
+        (["table1", "--steps", "0"], "entclone table1: error: argument --steps: must be at least 1, got 0"),
+        (["table1", "--steps", "101"], "entclone table1: error: argument --steps: must be at most 100, got 101"),
+        (["analyze", "--input", "s.json", "--seed", "-1"], "entclone analyze: error: argument --seed: must be at least 0, got -1"),
+        (["analyze", "--input", "s.json", "--seed", "1.5"], "entclone analyze: error: argument --seed: not an integer: '1.5'"),
+    ],
+)
+def test_usage_errors_end_in_their_exact_message(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == message
 
 
 def test_sweep_iterations_bound(capsys):

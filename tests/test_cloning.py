@@ -18,7 +18,7 @@ from entclone import (
     shrink_channel,
     symmetric_cloner_joint,
 )
-from entclone.cloning import REMIX_TOL, bell_clone
+from entclone.cloning import REMIX_TOL, _iterate, bell_clone
 
 from helpers import densities, random_density
 
@@ -172,3 +172,45 @@ def test_public_clones_and_one_iterate_round_match_the_scheme_channel(rho):
     assert np.array_equal(nonlocal_, CloneScheme.NONLOCAL.apply(rho))
     for scheme, direct in ((CloneScheme.LOCAL, local), (CloneScheme.NONLOCAL, nonlocal_)):
         assert np.abs(iterate(rho, scheme, 1).states[1] - direct).max() <= REMIX_TOL
+
+
+@pytest.mark.parametrize("scheme", [CloneScheme.LOCAL, CloneScheme.NONLOCAL])
+def test_remix_check_holds_its_tolerance_edge(scheme, monkeypatch):
+    # shift only the direct channel on the (N, 4, 4) stack, not the (N, 4, 4, 4) projector clones
+    original = CloneScheme.apply
+    delta = {}
+
+    def shifted(self, rho):
+        out = original(self, rho)
+        if rho.ndim == 3:
+            out = out.copy()
+            out[-1, 0, 0] += delta["value"]
+        return out
+
+    monkeypatch.setattr(CloneScheme, "apply", shifted)
+    stack = np.stack([_bell_density(BellKind.PSI_MINUS, np.sqrt(0.5)), np.eye(4) / 4.0])
+    singlet = stack[0]
+    delta["value"] = REMIX_TOL / 2
+    assert len(list(_iterate(stack, scheme, 2))) == 3
+    assert len(iterate(singlet, scheme, 2).states) == 3
+    delta["value"] = 2 * REMIX_TOL
+    message = "eigenbasis remixing deviates from the direct channel by 2.000e-10"
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        list(_iterate(stack, scheme, 2))
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        iterate(singlet, scheme, 2)
+
+
+@pytest.mark.parametrize(
+    "scheme, lowest", [(CloneScheme.PURE, 0.0), (CloneScheme.LOCAL, 1.0 / 36.0), (CloneScheme.NONLOCAL, 0.1)]
+)
+def test_every_scheme_is_completely_positive_and_trace_preserving(scheme, lowest):
+    # apply is affine; its linear extension L(X) = apply(X) - (1 - tr X) apply(0) is the channel
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # units[4 i + j] = |i><j|
+    traces = np.trace(units, axis1=-2, axis2=-1)
+    images = scheme.apply(units) - (1.0 - traces)[:, None, None] * scheme.apply(np.zeros((4, 4)))
+    # Choi matrix sum_ij |i><j| (x) L(|i><j|), indexed [(i, a), (j, b)]
+    choi = images.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
+    assert np.abs(choi - choi.conj().T).max() == 0.0
+    assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-12
+    assert np.abs(np.trace(images, axis1=-2, axis2=-1) - traces).max() < 1e-15

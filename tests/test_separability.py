@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from entclone import (
     BadDimensionError,
@@ -12,6 +14,7 @@ from entclone import (
     bell_state,
     clone_local,
     clone_nonlocal,
+    concurrence,
     density_from_pure,
     entanglement_interval,
     ppt_verdict,
@@ -40,18 +43,39 @@ def test_maximally_mixed_is_separable():
     assert abs(verdict.min_pt_eigenvalue - 0.25) < 1e-14
 
 
-def test_ppt_verdict_holds_its_tolerance_edge():
-    # the Werner state p psi- + (1 - p) I/4 has minimal PT eigenvalue (1 - 3p) / 4
+def _werner(p):
+    # p psi- + (1 - p) I/4: minimal PT eigenvalue (1 - 3p) / 4, concurrence max(0, (3p - 1) / 2)
     singlet = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
-    half, twice = (
-        p * singlet + (1.0 - p) * np.eye(4) / 4.0
-        for p in ((1.0 + 2 * PPT_TOL) / 3.0, (1.0 + 8 * PPT_TOL) / 3.0)
-    )
+    return p * singlet + (1.0 - p) * np.eye(4) / 4.0
+
+
+def test_ppt_verdict_holds_its_tolerance_edge():
+    half, twice = _werner((1.0 + 2 * PPT_TOL) / 3.0), _werner((1.0 + 8 * PPT_TOL) / 3.0)
     assert not ppt_verdict(half).entangled
     assert ppt_verdict(twice).entangled
     low, entangled = _verdict(np.stack([half, twice]), PPT_TOL)
     assert entangled.tolist() == [False, True]
     assert np.allclose(low, [-PPT_TOL / 2, -2 * PPT_TOL], rtol=1e-6, atol=0.0)
+
+
+# p over [0, 1], and p within 1e-8 of the separability boundary 1/3
+@given(st.floats(0.0, 1.0) | st.floats(-1e-8, 1e-8).map(lambda d: 1.0 / 3.0 + d))
+def test_ppt_agrees_with_concurrence_on_werner_states_outside_the_tolerance_band(p):
+    rho = _werner(p)
+    verdict = ppt_verdict(rho)
+    assume(abs(verdict.min_pt_eigenvalue) >= 2 * PPT_TOL)
+    assert verdict.entangled == (concurrence(rho).concurrence > 0)
+
+
+def test_ppt_and_concurrence_disagree_only_inside_the_tolerance_band():
+    # min PT eigenvalue -PPT_TOL / 2: PPT calls it separable, concurrence sees 2 x 5e-11
+    inside = _werner((1.0 + 2 * PPT_TOL) / 3.0)
+    assert not ppt_verdict(inside).entangled
+    assert concurrence(inside).concurrence == pytest.approx(PPT_TOL, rel=1e-4)
+    # min PT eigenvalue -2 PPT_TOL: both call it entangled
+    outside = _werner((1.0 + 8 * PPT_TOL) / 3.0)
+    assert ppt_verdict(outside).entangled
+    assert concurrence(outside).concurrence == pytest.approx(4 * PPT_TOL, rel=1e-4)
 
 
 def test_product_states_are_separable():
