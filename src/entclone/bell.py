@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError
-from .linalg import PAULIS
+from .linalg import HERMITIAN_TOL, PAULIS
 from .states import validate_two_qubit
 
 UNIT_TOL = 1e-12
@@ -55,7 +55,7 @@ class ChshConfig:
 def _correlations(rhos: np.ndarray) -> np.ndarray:
     # unchecked kernel of correlation_matrix: (N, 3, 3) from an (N, 4, 4) stack
     values = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
-    complex_entries = np.argwhere(np.abs(values.imag) > 1e-10)
+    complex_entries = np.argwhere(np.abs(values.imag) > HERMITIAN_TOL)
     if len(complex_entries):
         n, i, j = complex_entries[0]
         raise NotHermitianError(f"correlation ({i},{j}) has imaginary part {values[n, i, j].imag:.3e}")

@@ -26,13 +26,15 @@ from .cloning import CloneScheme, _iterate, bell_clone
 from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
 from .linalg import hermitian_eig, require_two_qubit
-from .separability import PPT_TOL, _verdict, entanglement_interval
-from .states import BellKind, bell_state, density_from_pure, load_density
+from .separability import BISECTION_TOL, _verdict, entanglement_interval
+from .states import load_density
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
 _CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g"
 # a larger grid would only exhaust memory in np.linspace and the CSV text
 MAX_GRID = 1_000_000
+# cloning rounds: (3/5)^k < 2^-52 for every k >= 71, so rounds past that only add roundoff
+MAX_ROUNDS = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,26 +76,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="alpha-grid sweep as CSV")
-    sweep.add_argument("--scheme", choices=[s.value for s in CloneScheme], default="pure")
+    sweep.add_argument("--scheme", choices=[s.value for s in CloneScheme], default=CloneScheme.PURE.value)
     sweep.add_argument("--grid", type=_int_arg(2, MAX_GRID), default=201,
                        help=f"uniform grid points over [0, 1], endpoints included (at most {MAX_GRID})")
-    # (3/5)^k < 2^-52 for every k >= 71: rounds past that only add roundoff
-    sweep.add_argument("--iterations", type=_int_arg(0, 100), default=0,
-                       help="extra cloning steps beyond the first (nonlocal only, at most 100)")
+    sweep.add_argument("--iterations", type=_int_arg(0, MAX_ROUNDS), default=0,
+                       help=f"extra cloning steps beyond the first (nonlocal only, at most {MAX_ROUNDS})")
     sweep.add_argument("--alpha", type=_alpha_arg, default=None,
                        help="emit a single row at this alpha instead of the grid")
     sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sweep.set_defaults(run=_cmd_sweep)
 
     table1 = sub.add_parser("table1", help="singlet EoF under repeated non-local cloning")
-    # EoF prints 0.000000 from step 3 on; the cap matches sweep --iterations
-    table1.add_argument("--steps", type=_int_arg(1, 100), default=3,
-                        help="non-local cloning steps (at most 100)")
+    table1.add_argument("--steps", type=_int_arg(1, MAX_ROUNDS), default=3,
+                        help=f"non-local cloning steps (at most {MAX_ROUNDS})")
     table1.set_defaults(run=_cmd_table1)
 
     interval = sub.add_parser("interval", help="inseparability interval in alpha^2")
-    interval.add_argument("--scheme", choices=["local", "nonlocal"], required=True)
-    interval.add_argument("--tol", type=_positive_float, default=1e-8)
+    interval.add_argument("--scheme", choices=[s.value for s in CloneScheme if s is not CloneScheme.PURE], required=True)
+    interval.add_argument("--tol", type=_positive_float, default=BISECTION_TOL)
     interval.set_defaults(run=_cmd_interval)
 
     analyze = sub.add_parser("analyze", help="report on a density matrix from a JSON file")
@@ -114,7 +114,7 @@ _BLOCK = 256
 def _measures(rhos):
     # every state reaching here came from a checked alpha, load_density or iterate
     t = _correlations(rhos)
-    low, entangled = _verdict(rhos, PPT_TOL)
+    low, entangled = _verdict(rhos)
     c = _concurrence(rhos)[1]
     return t, _chsh(t, _PI4), _bmax(t), c, _eof(c), low, entangled
 
@@ -130,7 +130,7 @@ def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> li
 
 
 def _cmd_sweep(args) -> int:
-    if args.iterations and args.scheme != "nonlocal":
+    if args.iterations and args.scheme != CloneScheme.NONLOCAL.value:
         _PARSER.error("--iterations applies only to --scheme nonlocal")
     alphas = np.array([args.alpha]) if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
     text = "\n".join(_sweep_lines(CloneScheme(args.scheme), args.iterations, alphas)) + "\n"
@@ -147,8 +147,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    singlet = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
-    sequence = np.concatenate(list(_iterate(singlet[None], CloneScheme.NONLOCAL, args.steps)))
+    singlet = bell_clone(CloneScheme.PURE, [np.sqrt(0.5)])
+    sequence = np.concatenate(list(_iterate(singlet, CloneScheme.NONLOCAL, args.steps)))
     print("step eof")
     for step, eof in enumerate(_eof(_concurrence(sequence)[1]).tolist()):
         print(f"{step} {eof:.6f}")

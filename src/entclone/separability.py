@@ -38,7 +38,7 @@ class AlphaSquaredInterval:
     high: float
 
 
-def _verdict(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.ndarray]:
     # unchecked kernel of ppt_verdict: (N,) minimal PT eigenvalues and entangled flags
     pt = _transpose_second(rhos)
     low = np.linalg.eigvalsh((pt + dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
@@ -65,7 +65,7 @@ def _bisect_boundary(
             sep, ent = brackets[len(mids)]
             mids.append((sep + ent) / 2)
             brackets += [(sep, mids[-1]), (mids[-1], ent)]
-        entangled = _verdict(bell_clone(scheme, np.sqrt(mids)), PPT_TOL)[1]
+        entangled = _verdict(bell_clone(scheme, np.sqrt(mids)))[1]
         node = 0
         while node < len(mids) and abs(entangled_end - separable_end) > tol:
             mid = mids[node]

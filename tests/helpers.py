@@ -1,4 +1,4 @@
-"""Random-state builders and the child-process environment shared across the test modules."""
+"""State builders and the child-process environment shared across the test modules."""
 
 import os
 from pathlib import Path
@@ -8,6 +8,15 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import entclone
+
+
+def psi_minus(alpha):
+    return entclone.density_from_pure(entclone.bell_state(entclone.BellKind.PSI_MINUS, alpha))
+
+
+def werner(p):
+    # p psi- + (1 - p) I/4: minimal PT eigenvalue (1 - 3p) / 4, concurrence max(0, (3p - 1) / 2)
+    return p * psi_minus(np.sqrt(0.5)) + (1.0 - p) * np.eye(4) / 4.0
 
 
 def random_density(rng, dim=4):

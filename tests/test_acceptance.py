@@ -29,7 +29,7 @@ from entclone import (
 )
 from entclone.cli import main as cli_main
 
-from helpers import package_env, random_density
+from helpers import package_env, psi_minus, random_density
 
 GRID = np.linspace(0.0, 1.0, 1001)
 ROOT_HALF = np.sqrt(0.5)
@@ -41,12 +41,8 @@ def _report(number, label, ok, detail=""):
     print(f"[{tag}] criterion {number:2d}: {label}{suffix}")
 
 
-def _psi_minus(alpha):
-    return density_from_pure(bell_state(BellKind.PSI_MINUS, alpha))
-
-
 def test_c01_singlet_eof_sequence_under_repeated_cloning():
-    states = iterate(_psi_minus(ROOT_HALF), CloneScheme.NONLOCAL, 3).states
+    states = iterate(psi_minus(ROOT_HALF), CloneScheme.NONLOCAL, 3).states
     values = [entanglement_of_formation(s) for s in states]
     ok = (
         abs(values[0] - 1.0) <= 1e-9
@@ -82,9 +78,9 @@ def test_c03_nonlocal_inseparability_interval():
 def test_c04_clones_never_violate_chsh():
     worst = 0.0
     for alpha in GRID:
-        rho = _psi_minus(alpha)
+        rho = psi_minus(alpha)
         worst = max(worst, bmax(clone_local(rho)), bmax(clone_nonlocal(rho)))
-    peak = _psi_minus(ROOT_HALF)
+    peak = psi_minus(ROOT_HALF)
     err_nonlocal = abs(bmax(clone_nonlocal(peak)) - 6.0 * np.sqrt(2.0) / 5.0)
     err_local = abs(bmax(clone_local(peak)) - 8.0 * np.sqrt(2.0) / 9.0)
     ok = worst <= 2.0 and err_nonlocal <= 1e-9 and err_local <= 1e-9
@@ -98,15 +94,15 @@ def test_c05_pure_state_curves_match_closed_forms():
     err = 0.0
     for alpha in GRID:
         beta = np.sqrt(1.0 - alpha * alpha)
-        rho = _psi_minus(alpha)
+        rho = psi_minus(alpha)
         err = max(err, abs(chsh_value(rho, cfg) - np.sqrt(2.0) * (1.0 + 2.0 * alpha * beta)))
         err = max(err, abs(bmax(rho) - 2.0 * np.sqrt(1.0 + 4.0 * alpha * alpha * beta * beta)))
-    peak = abs(bmax(_psi_minus(ROOT_HALF)) - 2.0 * np.sqrt(2.0))
+    peak = abs(bmax(psi_minus(ROOT_HALF)) - 2.0 * np.sqrt(2.0))
     ends = max(
-        abs(bmax(_psi_minus(0.0)) - 2.0),
-        abs(bmax(_psi_minus(1.0)) - 2.0),
-        abs(chsh_value(_psi_minus(0.0), cfg) - np.sqrt(2.0)),
-        abs(chsh_value(_psi_minus(1.0), cfg) - np.sqrt(2.0)),
+        abs(bmax(psi_minus(0.0)) - 2.0),
+        abs(bmax(psi_minus(1.0)) - 2.0),
+        abs(chsh_value(psi_minus(0.0), cfg) - np.sqrt(2.0)),
+        abs(chsh_value(psi_minus(1.0), cfg) - np.sqrt(2.0)),
     )
     ok = err <= 1e-9 and peak <= 1e-9 and ends <= 1e-9
     _report(5, "pure-state CHSH curves match closed forms", ok, f"max err {max(err, peak, ends):.2e}")
@@ -181,7 +177,7 @@ def test_c10_nonlocal_cloning_preserves_more_entanglement():
     local_eof = np.empty(GRID.size)
     nonlocal_eof = np.empty(GRID.size)
     for i, alpha in enumerate(GRID):
-        rho = _psi_minus(alpha)
+        rho = psi_minus(alpha)
         local_eof[i] = entanglement_of_formation(clone_local(rho))
         nonlocal_eof[i] = entanglement_of_formation(clone_nonlocal(rho))
     dominance = bool(np.all(nonlocal_eof >= local_eof - 1e-12))
@@ -199,7 +195,7 @@ def test_c10_nonlocal_cloning_preserves_more_entanglement():
 def test_c11_three_rounds_kill_entanglement_for_every_amplitude():
     worst = 0.0
     for alpha in GRID:
-        final = iterate(_psi_minus(alpha), CloneScheme.NONLOCAL, 3).states[-1]
+        final = iterate(psi_minus(alpha), CloneScheme.NONLOCAL, 3).states[-1]
         worst = max(worst, entanglement_of_formation(final))
     ok = worst <= 1e-12
     _report(11, "three non-local cloning rounds kill entanglement at every amplitude", ok,
@@ -237,7 +233,7 @@ def test_full_suite_runtime_is_reasonable():
 
     start = time.time()
     for alpha in np.linspace(0.0, 1.0, 51):
-        rho = _psi_minus(alpha)
+        rho = psi_minus(alpha)
         clone_local(rho)
         clone_nonlocal(rho)
         bmax(rho)

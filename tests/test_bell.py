@@ -1,14 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entclone import (
+    PAULIS,
     BadDimensionError,
-    BellKind,
     ChshConfig,
+    NotHermitianError,
     NotNormalizedError,
-    bell_state,
     bmax,
     bmax_numeric,
     chsh_value,
@@ -16,40 +18,57 @@ from entclone import (
     clone_nonlocal,
     correlation,
     correlation_matrix,
-    density_from_pure,
     planar_pi4_config,
     shrink_channel,
+    validate_density,
 )
+from entclone.bell import _correlations
+from entclone.linalg import HERMITIAN_TOL
 
-from helpers import densities, random_density
+from helpers import densities, psi_minus, random_density
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
 
 
-def _psi_minus(alpha):
-    return density_from_pure(bell_state(BellKind.PSI_MINUS, alpha))
-
-
 def test_singlet_correlation_matrix_is_minus_identity():
-    t = correlation_matrix(_psi_minus(np.sqrt(0.5)))
+    t = correlation_matrix(psi_minus(np.sqrt(0.5)))
     assert np.abs(t + np.eye(3)).max() < 1e-12
 
 
 def test_correlation_matrix_of_partly_entangled_state():
     a, b = 0.6, 0.8
-    t = correlation_matrix(_psi_minus(a))
+    t = correlation_matrix(psi_minus(a))
     assert np.abs(t - np.diag([-2 * a * b, -2 * a * b, -1.0])).max() < 1e-12
 
 
+def _skew(delta):
+    # I/4 + i (delta/4) sigma_x (x) sigma_y: real entries +-delta/4, so max |rho - rho^dagger| = delta/2,
+    # and tr(rho sigma_x (x) sigma_y) = i delta puts delta into Im T[0, 1]
+    return np.eye(4) / 4.0 + 1j * (delta / 4.0) * np.kron(PAULIS[0], PAULIS[1])
+
+
+def test_correlation_imaginary_part_holds_its_tolerance_edge():
+    assert np.array_equal(correlation_matrix(_skew(HERMITIAN_TOL / 2)), np.zeros((3, 3)))
+    # at twice the bound the state itself is still within HERMITIAN_TOL (defect exactly 1e-10),
+    # so the T check is what rejects it
+    twice = _skew(2 * HERMITIAN_TOL)
+    validate_density(twice)
+    message = "correlation (0,1) has imaginary part 2.000e-10"
+    with pytest.raises(NotHermitianError, match=re.escape(message)):
+        correlation_matrix(twice)
+    with pytest.raises(NotHermitianError, match=re.escape(message)):
+        _correlations(np.stack([np.eye(4) / 4.0, psi_minus(np.sqrt(0.5)), twice]))
+
+
 def test_correlation_along_axes():
-    rho = _psi_minus(np.sqrt(0.5))
+    rho = psi_minus(np.sqrt(0.5))
     assert abs(correlation(rho, Z, Z) + 1.0) < 1e-12
     assert abs(correlation(rho, X, Z)) < 1e-12
 
 
 def test_correlation_rejects_bad_directions():
-    rho = _psi_minus(0.5)
+    rho = psi_minus(0.5)
     with pytest.raises(NotNormalizedError):
         correlation(rho, 2.0 * Z, Z)
     with pytest.raises(BadDimensionError):
@@ -74,7 +93,7 @@ def test_planar_config_geometry():
 
 
 def test_singlet_reaches_tsirelson_at_planar_config():
-    value = chsh_value(_psi_minus(np.sqrt(0.5)), planar_pi4_config())
+    value = chsh_value(psi_minus(np.sqrt(0.5)), planar_pi4_config())
     assert abs(value - 2.0 * np.sqrt(2.0)) < 1e-12
 
 
@@ -82,19 +101,19 @@ def test_pure_state_closed_forms():
     cfg = planar_pi4_config()
     for alpha in np.linspace(0.0, 1.0, 41):
         beta = np.sqrt(1.0 - alpha * alpha)
-        rho = _psi_minus(alpha)
+        rho = psi_minus(alpha)
         assert abs(chsh_value(rho, cfg) - np.sqrt(2.0) * (1.0 + 2.0 * alpha * beta)) < 1e-12
         assert abs(bmax(rho) - 2.0 * np.sqrt(1.0 + 4.0 * alpha * alpha * beta * beta)) < 1e-12
 
 
 def test_bmax_endpoints():
-    assert abs(bmax(_psi_minus(0.0)) - 2.0) < 1e-12
-    assert abs(bmax(_psi_minus(1.0)) - 2.0) < 1e-12
-    assert abs(chsh_value(_psi_minus(0.0), planar_pi4_config()) - np.sqrt(2.0)) < 1e-12
+    assert abs(bmax(psi_minus(0.0)) - 2.0) < 1e-12
+    assert abs(bmax(psi_minus(1.0)) - 2.0) < 1e-12
+    assert abs(chsh_value(psi_minus(0.0), planar_pi4_config()) - np.sqrt(2.0)) < 1e-12
 
 
 def test_clone_peaks_at_maximal_entanglement():
-    rho = _psi_minus(np.sqrt(0.5))
+    rho = psi_minus(np.sqrt(0.5))
     assert abs(bmax(clone_nonlocal(rho)) - 6.0 * np.sqrt(2.0) / 5.0) < 1e-12
     assert abs(bmax(clone_local(rho)) - 8.0 * np.sqrt(2.0) / 9.0) < 1e-12
 
@@ -132,7 +151,7 @@ PINNED_BMAX_NUMERIC = {
 
 def _pinned_state(name):
     if name == "psi_minus_0.3":
-        return _psi_minus(np.sqrt(0.3))
+        return psi_minus(np.sqrt(0.3))
     if name == "random_full_rank":
         return random_density(np.random.default_rng(7), 4)
     return np.eye(4) / 4.0

@@ -170,6 +170,8 @@ def test_sweep_flag_validation(capsys):
         (["table1", "--steps", "101"], "entclone table1: error: argument --steps: must be at most 100, got 101"),
         (["analyze", "--input", "s.json", "--seed", "-1"], "entclone analyze: error: argument --seed: must be at least 0, got -1"),
         (["analyze", "--input", "s.json", "--seed", "1.5"], "entclone analyze: error: argument --seed: not an integer: '1.5'"),
+        (["interval", "--scheme", "pure"],
+         "entclone interval: error: argument --scheme: invalid choice: 'pure' (choose from 'local', 'nonlocal')"),
     ],
 )
 def test_usage_errors_end_in_their_exact_message(argv, message, capsys):

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from entclone import (
-    BellKind,
     CloneScheme,
     NotXShapeError,
     OutOfRangeError,
-    bell_state,
     binary_entropy,
     clone_local,
     clone_nonlocal,
     concurrence,
     concurrence_xstate_oracle,
-    density_from_pure,
     entanglement_of_formation,
     iterate,
     spin_flip,
@@ -20,19 +17,11 @@ from entclone import (
 
 from entclone.entanglement import NOISE_FLOOR
 
-from helpers import random_density
-
-
-def _psi_minus(alpha):
-    return density_from_pure(bell_state(BellKind.PSI_MINUS, alpha))
-
-
-def _werner(p):
-    return p * _psi_minus(np.sqrt(0.5)) + (1.0 - p) * np.eye(4) / 4.0
+from helpers import psi_minus, random_density, werner
 
 
 def test_spin_flip_leaves_singlet_alone():
-    rho = _psi_minus(np.sqrt(0.5))
+    rho = psi_minus(np.sqrt(0.5))
     assert np.abs(spin_flip(rho) - rho).max() < 1e-15
 
 
@@ -43,7 +32,7 @@ def test_spin_flip_is_an_involution():
 
 
 def test_concurrence_of_singlet_is_one():
-    result = concurrence(_psi_minus(np.sqrt(0.5)))
+    result = concurrence(psi_minus(np.sqrt(0.5)))
     assert abs(result.concurrence - 1.0) < 1e-12
     assert np.allclose(result.lambdas, [1.0, 0.0, 0.0, 0.0], atol=1e-7)
 
@@ -59,21 +48,21 @@ def test_concurrence_of_separable_states_is_zero():
 def test_concurrence_of_pure_states():
     for alpha in np.linspace(0.0, 1.0, 21):
         beta = np.sqrt(1.0 - alpha * alpha)
-        c = concurrence(_psi_minus(alpha)).concurrence
+        c = concurrence(psi_minus(alpha)).concurrence
         assert abs(c - 2.0 * alpha * beta) < 1e-9
 
 
 def test_werner_concurrence():
     # mixing the singlet with white noise: C = max(0, (3p - 1) / 2)
-    assert abs(concurrence(_werner(0.8)).concurrence - 0.7) < 1e-12
-    assert concurrence(_werner(1.0 / 3.0)).concurrence < 1e-9
-    assert concurrence(_werner(0.2)).concurrence == 0.0
+    assert abs(concurrence(werner(0.8)).concurrence - 0.7) < 1e-12
+    assert concurrence(werner(1.0 / 3.0)).concurrence < 1e-9
+    assert concurrence(werner(0.2)).concurrence == 0.0
 
 
 def test_concurrence_holds_its_noise_floor_edge():
     # sqrt(rho) rho~ sqrt(rho) is rho^2 for a Werner state: three eigenvalues ((1 - p) / 4)^2
-    half = concurrence(_werner(1.0 - 4.0 * np.sqrt(NOISE_FLOOR / 2))).lambdas
-    twice = concurrence(_werner(1.0 - 4.0 * np.sqrt(2 * NOISE_FLOOR))).lambdas
+    half = concurrence(werner(1.0 - 4.0 * np.sqrt(NOISE_FLOOR / 2))).lambdas
+    twice = concurrence(werner(1.0 - 4.0 * np.sqrt(2 * NOISE_FLOOR))).lambdas
     assert half[1:].tolist() == [0.0, 0.0, 0.0]
     assert (twice[1:] > 0.0).all()
 
@@ -90,7 +79,7 @@ def test_binary_entropy_values():
 
 
 def test_eof_of_singlet_is_one():
-    assert abs(entanglement_of_formation(_psi_minus(np.sqrt(0.5))) - 1.0) < 1e-12
+    assert abs(entanglement_of_formation(psi_minus(np.sqrt(0.5))) - 1.0) < 1e-12
 
 
 def test_eof_of_product_state_is_zero():
@@ -101,7 +90,7 @@ def test_eof_of_product_state_is_zero():
 
 
 def test_eof_after_each_cloning_round():
-    singlet = _psi_minus(np.sqrt(0.5))
+    singlet = psi_minus(np.sqrt(0.5))
     states = iterate(singlet, CloneScheme.NONLOCAL, 3).states
     values = [entanglement_of_formation(s) for s in states]
     assert abs(values[0] - 1.0) < 1e-12
@@ -111,12 +100,12 @@ def test_eof_after_each_cloning_round():
 
 
 def test_eof_is_monotone_in_concurrence():
-    values = [entanglement_of_formation(_werner(p)) for p in (0.5, 0.7, 0.9, 1.0)]
+    values = [entanglement_of_formation(werner(p)) for p in (0.5, 0.7, 0.9, 1.0)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
 
 def test_cloned_singlet_concurrences():
-    singlet = _psi_minus(np.sqrt(0.5))
+    singlet = psi_minus(np.sqrt(0.5))
     assert abs(concurrence(clone_local(singlet)).concurrence - 1.0 / 6.0) < 1e-12
     assert abs(concurrence(clone_nonlocal(singlet)).concurrence - 0.4) < 1e-12
 
@@ -124,7 +113,7 @@ def test_cloned_singlet_concurrences():
 def test_nonlocal_clone_concurrence_closed_form():
     for alpha in np.linspace(0.0, 1.0, 41):
         beta = np.sqrt(1.0 - alpha * alpha)
-        c = concurrence(clone_nonlocal(_psi_minus(alpha))).concurrence
+        c = concurrence(clone_nonlocal(psi_minus(alpha))).concurrence
         assert abs(c - 2.0 * max(0.0, 0.6 * alpha * beta - 0.1)) < 1e-9
 
 
@@ -142,7 +131,7 @@ def test_xstate_oracle_matches_general_concurrence():
 
 
 def test_xstate_oracle_on_cloned_singlet():
-    value = concurrence_xstate_oracle(clone_local(_psi_minus(np.sqrt(0.5))))
+    value = concurrence_xstate_oracle(clone_local(psi_minus(np.sqrt(0.5))))
     assert abs(value - 1.0 / 6.0) < 1e-12
 
 

@@ -60,3 +60,24 @@ def test_cli_output_bytes_are_unchanged(command):
     with contextlib.redirect_stdout(out):
         assert main(command.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DIGESTS[command]
+
+
+# each parser's --help: its defaults, limits and choices are read from constants the library modules own
+HELP_DIGESTS = {
+    "--help": "53b1a242b4da6abe93c4d4227b0ea7ea4135170b7f9928f1d69c862220b149bc",
+    "sweep --help": "06c31312d88b7eb6231210815f2fba4381dd79e18577995b95ab5758e3474bc2",
+    "table1 --help": "19f03f1c1799fad9d4a9e0d0a0c4220e2483cc195c9747964bc4cf498a44920e",
+    "interval --help": "e01a030dfe25b6283dbac13d225ff0747dfb7619d9a15bf85cf858a1caafa255",
+    "analyze --help": "764180bc1df48ac2c1c9a0a47421ab817f78299c7f8bf09655a15dbb25cdca26",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_cli_help_bytes_are_unchanged(command, monkeypatch):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS first
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(command.split())
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == HELP_DIGESTS[command]

@@ -7,22 +7,19 @@ from hypothesis import strategies as st
 
 from entclone import (
     BadDimensionError,
-    BellKind,
     CloneScheme,
     NoConvergenceError,
     OutOfRangeError,
-    bell_state,
     clone_local,
     clone_nonlocal,
     concurrence,
-    density_from_pure,
     entanglement_interval,
     ppt_verdict,
 )
 
 from entclone.separability import PPT_TOL, _verdict
 
-from helpers import random_density
+from helpers import psi_minus, random_density, werner
 
 LOCAL_LOW = 0.5 - np.sqrt(39.0) / 16.0
 LOCAL_HIGH = 0.5 + np.sqrt(39.0) / 16.0
@@ -31,7 +28,7 @@ NONLOCAL_HIGH = 0.5 + np.sqrt(2.0) / 3.0
 
 
 def test_singlet_is_entangled():
-    rho = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
+    rho = psi_minus(np.sqrt(0.5))
     verdict = ppt_verdict(rho)
     assert verdict.entangled
     assert abs(verdict.min_pt_eigenvalue - (-0.5)) < 1e-12
@@ -43,14 +40,8 @@ def test_maximally_mixed_is_separable():
     assert abs(verdict.min_pt_eigenvalue - 0.25) < 1e-14
 
 
-def _werner(p):
-    # p psi- + (1 - p) I/4: minimal PT eigenvalue (1 - 3p) / 4, concurrence max(0, (3p - 1) / 2)
-    singlet = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
-    return p * singlet + (1.0 - p) * np.eye(4) / 4.0
-
-
 def test_ppt_verdict_holds_its_tolerance_edge():
-    half, twice = _werner((1.0 + 2 * PPT_TOL) / 3.0), _werner((1.0 + 8 * PPT_TOL) / 3.0)
+    half, twice = werner((1.0 + 2 * PPT_TOL) / 3.0), werner((1.0 + 8 * PPT_TOL) / 3.0)
     assert not ppt_verdict(half).entangled
     assert ppt_verdict(twice).entangled
     low, entangled = _verdict(np.stack([half, twice]), PPT_TOL)
@@ -61,7 +52,7 @@ def test_ppt_verdict_holds_its_tolerance_edge():
 # p over [0, 1], and p within 1e-8 of the separability boundary 1/3
 @given(st.floats(0.0, 1.0) | st.floats(-1e-8, 1e-8).map(lambda d: 1.0 / 3.0 + d))
 def test_ppt_agrees_with_concurrence_on_werner_states_outside_the_tolerance_band(p):
-    rho = _werner(p)
+    rho = werner(p)
     verdict = ppt_verdict(rho)
     assume(abs(verdict.min_pt_eigenvalue) >= 2 * PPT_TOL)
     assert verdict.entangled == (concurrence(rho).concurrence > 0)
@@ -69,11 +60,11 @@ def test_ppt_agrees_with_concurrence_on_werner_states_outside_the_tolerance_band
 
 def test_ppt_and_concurrence_disagree_only_inside_the_tolerance_band():
     # min PT eigenvalue -PPT_TOL / 2: PPT calls it separable, concurrence sees 2 x 5e-11
-    inside = _werner((1.0 + 2 * PPT_TOL) / 3.0)
+    inside = werner((1.0 + 2 * PPT_TOL) / 3.0)
     assert not ppt_verdict(inside).entangled
     assert concurrence(inside).concurrence == pytest.approx(PPT_TOL, rel=1e-4)
     # min PT eigenvalue -2 PPT_TOL: both call it entangled
-    outside = _werner((1.0 + 8 * PPT_TOL) / 3.0)
+    outside = werner((1.0 + 8 * PPT_TOL) / 3.0)
     assert ppt_verdict(outside).entangled
     assert concurrence(outside).concurrence == pytest.approx(4 * PPT_TOL, rel=1e-4)
 
@@ -92,12 +83,12 @@ def test_ppt_verdict_needs_two_qubits():
 
 
 def test_clone_verdicts_flip_at_the_boundaries():
-    inside = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.5)))
-    outside = density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.05)))
+    inside = psi_minus(np.sqrt(0.5))
+    outside = psi_minus(np.sqrt(0.05))
     assert ppt_verdict(clone_local(inside)).entangled
     assert not ppt_verdict(clone_local(outside)).entangled
     assert ppt_verdict(clone_nonlocal(inside)).entangled
-    assert not ppt_verdict(clone_nonlocal(density_from_pure(bell_state(BellKind.PSI_MINUS, np.sqrt(0.01))))).entangled
+    assert not ppt_verdict(clone_nonlocal(psi_minus(np.sqrt(0.01)))).entangled
 
 
 def test_local_interval_endpoints():
