@@ -24,14 +24,12 @@ from .cloning import (
     clone_local,
     clone_nonlocal,
     iterate,
-    shrink_channel,
     symmetric_cloner_joint,
 )
 from .entanglement import (
     ConcurrenceResult,
     binary_entropy,
     concurrence,
-    concurrence_xstate_oracle,
     entanglement_of_formation,
     spin_flip,
 )
@@ -42,7 +40,6 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPsdError,
-    NotXShapeError,
     OutOfRangeError,
 )
 from .linalg import (
@@ -90,7 +87,6 @@ __all__ = [
     "NotHermitianError",
     "NotNormalizedError",
     "NotPsdError",
-    "NotXShapeError",
     "OutOfRangeError",
     "PAULIS",
     "PAULI_X",
@@ -108,7 +104,6 @@ __all__ = [
     "clone_local",
     "clone_nonlocal",
     "concurrence",
-    "concurrence_xstate_oracle",
     "correlation",
     "correlation_matrix",
     "dagger",
@@ -126,7 +121,6 @@ __all__ = [
     "ppt_verdict",
     "psd_sqrt",
     "save_density",
-    "shrink_channel",
     "spin_flip",
     "symmetric_cloner_joint",
     "validate_density",

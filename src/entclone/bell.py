@@ -53,8 +53,9 @@ class ChshConfig:
 
 
 def _correlations(rhos: np.ndarray) -> np.ndarray:
-    # unchecked kernel of correlation_matrix: (N, 3, 3) from an (N, 4, 4) stack
-    values = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
+    # unchecked kernel of correlation_matrix: (N, 3, 3) from an (N, 4, 4) stack;
+    # tr(rho P) = sum_kl rho[k, l] P[l, k], so no product beyond the diagonal is formed
+    values = (rhos[:, None, None] * _PAULI_PAIRS.swapaxes(-1, -2)).sum((-2, -1))
     complex_entries = np.argwhere(np.abs(values.imag) > HERMITIAN_TOL)
     if len(complex_entries):
         n, i, j = complex_entries[0]
@@ -115,9 +116,10 @@ def bmax(rho: np.ndarray) -> float:
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(rows, axis=1) of a real array, without its Python overhead
+    # np.linalg.norm(rows, axis=1) of a real array, without its Python overhead;
+    # a row of norm <= 1e-15 is divided by inf and comes out zero
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
-    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 1e-15)
+    return rows / np.where(norms > 1e-15, norms, np.inf)
 
 
 def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:

@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
 
 
 # rows measured per stack: bounds the (N, 3, 3, 4, 4) product behind T
-_BLOCK = 256
+_BLOCK = 512
 
 
 def _measures(rhos):

@@ -73,18 +73,6 @@ class CloneSequence:
     scheme: CloneScheme
 
 
-def shrink_channel(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Mix a density matrix toward the maximally mixed state.
-
-    Returns eta * rho + (1 - eta) * I/d for 0 < eta <= 1.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise OutOfRangeError(f"shrink factor must lie in (0, 1], got {eta}")
-    rho = validate_density(rho)
-    d = rho.shape[0]
-    return eta * rho + (1.0 - eta) * np.eye(d) / d
-
-
 def clone_nonlocal(rho: np.ndarray) -> np.ndarray:
     """Clone a two-qubit state as a single 4-dimensional register."""
     return CloneScheme.NONLOCAL.apply(validate_two_qubit(rho))
@@ -152,7 +140,7 @@ def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
 
     For a d-dimensional input the output is (2/(d+1)) S (rho (x) I) S with S
     the projector onto the symmetric subspace; tracing out either clone gives
-    shrink_channel(rho, (d+2)/(2(d+1))).
+    eta rho + (1 - eta) I/d with eta = (d+2)/(2(d+1)).
     """
     rho = validate_density(rho)
     d = rho.shape[0]

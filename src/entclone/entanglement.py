@@ -6,19 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotXShapeError, OutOfRangeError
-from .linalg import PAULI_Y, _eigh, _psd_root, require_two_qubit
+from .errors import OutOfRangeError
+from .linalg import _eigh, _psd_root, require_two_qubit
 from .states import validate_two_qubit
 
 # eigenvalues of sqrt(rho) rho~ sqrt(rho) below this are eigensolver noise;
 # sqrt would amplify ~1e-16 residue to ~1e-8 in the lambdas
 NOISE_FLOOR = 1e-14
 
-X_SHAPE_TOL = 1e-12
-
-# sigma_y (x) sigma_y in the computational basis; it is real, so the
-# imaginary parts are dropped rather than kept as signed zeros
-SIGMA_YY = np.kron(PAULI_Y, PAULI_Y).real.astype(complex)
+# sigma_y (x) sigma_y maps |k> to s_k |3 - k>, so the spin flip is
+# s_k s_l conj(rho[3 - k, 3 - l]): an index reversal and these signs
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
@@ -27,7 +25,8 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
 
 
 def _spin_flip(rhos: np.ndarray) -> np.ndarray:
-    return SIGMA_YY @ rhos.conj() @ SIGMA_YY
+    # + 0.0 turns the -0.0 that a sign flip makes of a zero into the +0.0 the matrix product gave
+    return _FLIP_SIGNS * rhos.conj()[..., ::-1, ::-1] + 0.0
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,3 @@ def _eof(c: np.ndarray) -> np.ndarray:
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
     return float(_eof(_concurrence(validate_two_qubit(rho)[None])[1])[0])
-
-
-def concurrence_xstate_oracle(rho: np.ndarray) -> float:
-    """Closed-form concurrence for states with only diagonal and anti-diagonal entries.
-
-    C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)).
-    Raises NotXShapeError when any other entry is nonzero.
-    """
-    rho = validate_two_qubit(rho)
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[np.arange(4), np.arange(4)] = True
-    mask[np.arange(4), np.arange(4)[::-1]] = True
-    if np.abs(rho[~mask]).max() > X_SHAPE_TOL:
-        raise NotXShapeError("state has entries off the diagonal and anti-diagonal")
-    d = np.maximum(np.real(np.diag(rho)), 0.0)
-    inner = abs(rho[1, 2]) - np.sqrt(d[0] * d[3])
-    outer = abs(rho[0, 3]) - np.sqrt(d[1] * d[2])
-    return float(2.0 * max(0.0, inner, outer))

@@ -25,9 +25,5 @@ class OutOfRangeError(ValueError):
     """Scalar parameter lies outside its admissible interval."""
 
 
-class NotXShapeError(ValueError):
-    """Matrix carries weight outside the diagonal and anti-diagonal."""
-
-
 class NoConvergenceError(RuntimeError):
     """Eigensolver failed to converge, or a bisection stalled short of its tolerance."""

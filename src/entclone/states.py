@@ -104,7 +104,10 @@ def density_to_dict(rho: np.ndarray) -> dict:
 def density_from_dict(data: dict) -> np.ndarray:
     """Parse and validate a density matrix payload produced by density_to_dict."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        # bool is a subclass of int, so JSON true would otherwise read as 1
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise TypeError(f"dim must be a JSON integer, got {dim!r}")
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -1,0 +1,47 @@
+"""Closed-form references the tests check the package against.
+
+They live outside the package so that each stays independent of the code it
+checks; nothing in the package or its command line calls them.
+"""
+
+import numpy as np
+
+from entclone import OutOfRangeError, validate_density
+from entclone.states import validate_two_qubit
+
+X_SHAPE_TOL = 1e-12
+
+
+class NotXShapeError(ValueError):
+    """Matrix carries weight outside the diagonal and anti-diagonal."""
+
+
+def shrink_channel(rho: np.ndarray, eta: float) -> np.ndarray:
+    """Mix a density matrix toward the maximally mixed state.
+
+    Returns eta * rho + (1 - eta) * I/d for 0 < eta <= 1.
+    """
+    if not 0.0 < eta <= 1.0:
+        raise OutOfRangeError(f"shrink factor must lie in (0, 1], got {eta}")
+    rho = validate_density(rho)
+    d = rho.shape[0]
+    return eta * rho + (1.0 - eta) * np.eye(d) / d
+
+
+def concurrence_xstate_oracle(rho: np.ndarray) -> float:
+    """Closed-form concurrence for states with only diagonal and anti-diagonal entries.
+
+    C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22))
+    (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).
+    Raises NotXShapeError when any other entry is nonzero.
+    """
+    rho = validate_two_qubit(rho)
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[np.arange(4), np.arange(4)] = True
+    mask[np.arange(4), np.arange(4)[::-1]] = True
+    if np.abs(rho[~mask]).max() > X_SHAPE_TOL:
+        raise NotXShapeError("state has entries off the diagonal and anti-diagonal")
+    d = np.maximum(np.real(np.diag(rho)), 0.0)
+    inner = abs(rho[1, 2]) - np.sqrt(d[0] * d[3])
+    outer = abs(rho[0, 3]) - np.sqrt(d[1] * d[2])
+    return float(2.0 * max(0.0, inner, outer))

@@ -19,13 +19,13 @@ from entclone import (
     correlation,
     correlation_matrix,
     planar_pi4_config,
-    shrink_channel,
     validate_density,
 )
 from entclone.bell import _correlations
 from entclone.linalg import HERMITIAN_TOL
 
 from helpers import densities, psi_minus, random_density
+from oracles import shrink_channel
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])

@@ -411,13 +411,25 @@ def test_analyze_complex_correlation_is_an_invalid_input(tmp_path, capsys):
 
 
 def test_analyze_infinite_dim_is_an_invalid_input(tmp_path, capsys):
-    # JSON reads 1e400 as float infinity, which int() cannot convert
+    # JSON reads 1e400 as float infinity, which is not an integer
     path = tmp_path / "infinite.json"
     path.write_text('{"dim": 1e400, "re": [[1.0]], "im": [[0.0]]}')
     code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
     assert code == 2
     assert out == ""
-    assert err == "ValueError: malformed density payload: cannot convert float infinity to integer\n"
+    assert err == "ValueError: malformed density payload: dim must be a JSON integer, got inf\n"
+
+
+@pytest.mark.parametrize("dim, size", [(4.7, 4), (4.0, 4), ("4", 4), (True, 1)])
+def test_analyze_non_integer_dim_is_an_invalid_input(tmp_path, capsys, dim, size):
+    # int() would read each of these dims as one whose arrays match: 4, 4, 4 and 1
+    path = tmp_path / "dim.json"
+    rho = np.eye(size) / size
+    path.write_text(json.dumps({"dim": dim, "re": rho.tolist(), "im": np.zeros_like(rho).tolist()}))
+    code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"ValueError: malformed density payload: dim must be a JSON integer, got {dim!r}\n"
 
 
 def test_analyze_state_the_eigensolver_cannot_diagonalize_is_an_invalid_input(tmp_path, capsys):

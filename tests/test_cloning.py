@@ -15,12 +15,12 @@ from entclone import (
     density_from_pure,
     iterate,
     partial_trace,
-    shrink_channel,
     symmetric_cloner_joint,
 )
 from entclone.cloning import REMIX_TOL, _iterate, bell_clone
 
 from helpers import densities, random_density
+from oracles import shrink_channel
 
 
 def _bell_density(kind, alpha):

@@ -3,13 +3,11 @@ import pytest
 
 from entclone import (
     CloneScheme,
-    NotXShapeError,
     OutOfRangeError,
     binary_entropy,
     clone_local,
     clone_nonlocal,
     concurrence,
-    concurrence_xstate_oracle,
     entanglement_of_formation,
     iterate,
     spin_flip,
@@ -18,6 +16,7 @@ from entclone import (
 from entclone.entanglement import NOISE_FLOOR
 
 from helpers import psi_minus, random_density, werner
+from oracles import NotXShapeError, concurrence_xstate_oracle
 
 
 def test_spin_flip_leaves_singlet_alone():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entclone import (
+    PAULI_Y,
     PAULIS,
     BadDimensionError,
     BadTraceError,
@@ -34,10 +35,10 @@ from entclone import (
     validate_density,
 )
 from entclone import cloning
-from entclone.bell import _bmax, _chsh, _correlations
-from entclone.cli import _BLOCK
+from entclone.bell import _PAULI_PAIRS, _bmax, _chsh, _correlations
+from entclone.cli import _BLOCK, main
 from entclone.cloning import _iterate, bell_clone
-from entclone.entanglement import _concurrence, _eof
+from entclone.entanglement import _concurrence, _eof, _spin_flip
 from entclone.linalg import HERMITIAN_TOL, PSD_TOL, _eigh, _psd_root, _transpose_second
 from entclone.separability import PPT_TOL, _verdict
 from entclone.states import TRACE_TOL, _check_densities
@@ -113,18 +114,34 @@ def test_stacked_iterate_equals_its_per_row_calls(scheme, n, pool, seed):
         assert stack.tobytes() == np.array([states[step] for states in rows]).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_each_iterate_round_makes_one_eigensolve(n, monkeypatch):
-    # one eigh before the rounds, then one per round inside its density check
+def _count_solves(monkeypatch):
+    # counts the stacked eigh and eigvalsh calls made from here on
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _solver(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_each_iterate_round_makes_one_eigensolve(n, monkeypatch):
+    # one eigh before the rounds, then one per round inside its density check
+    calls = _count_solves(monkeypatch)
     rhos = density_from_pure(bell_state(BellKind.PSI_MINUS, np.linspace(0.0, 1.0, 5)))
     assert len(list(_iterate(rhos, CloneScheme.NONLOCAL, n))) == n + 1
     assert calls == {"eigh": n + 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("scheme", [scheme.value for scheme in CloneScheme])
+def test_each_sweep_block_makes_two_eigh_and_two_eigvalsh(scheme, monkeypatch, capsys):
+    # per block: eigh for the concurrence root and its product, eigvalsh for the PT spectrum and T^T T
+    calls = _count_solves(monkeypatch)
+    assert main(["sweep", "--scheme", scheme, "--grid", "2001"]) == 0
+    blocks = -(-2001 // _BLOCK)
+    assert calls == {"eigh": 2 * blocks, "eigvalsh": 2 * blocks}
+    assert capsys.readouterr().out.count("\n") == 2002
 
 
 def test_stacked_remix_check_is_live(monkeypatch):
@@ -133,6 +150,23 @@ def test_stacked_remix_check_is_live(monkeypatch):
         iterate(np.eye(4) / 4, CloneScheme.NONLOCAL, 1)
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
         bell_clone(CloneScheme.NONLOCAL, [0.0, 0.6, 1.0], 1)
+
+
+# sigma_y (x) sigma_y, the matrix the spin flip was computed with
+_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y).real.astype(complex)
+
+
+def test_index_arithmetic_equals_the_matrix_products_it_replaced():
+    # T and the spin flip were matrix products; their kernels must give the same bytes, zero signs
+    # included, on random states and on Bell-clone stacks full of exact zeros
+    rng = np.random.default_rng(5)
+    alphas = np.linspace(0.0, 1.0, _BLOCK + 3)
+    stacks = [np.array([random_density(rng) for _ in alphas]), bell_clone(CloneScheme.NONLOCAL, alphas, 2)]
+    stacks += [bell_clone(scheme, alphas) for scheme in CloneScheme]
+    for rhos in stacks:
+        traces = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
+        assert _correlations(rhos).tobytes() == traces.real.tobytes()
+        assert _spin_flip(rhos).tobytes() == (_SIGMA_YY @ rhos.conj() @ _SIGMA_YY).tobytes()
 
 
 def _scalar_eof(c):

@@ -33,11 +33,16 @@ DIGESTS = {
         "8792eae9a127f52f5677a7f8b826c86c126c8b78e0434747aa463e33fea77982",
     "sweep --scheme nonlocal --iterations 61 --grid 6":
         "5ca85722c8fb0604f9ae544172714382e0df8aff869f626ab4fd6c0a83b806f0",
-    # iterated rounds over a whole row block and across its boundary, up to the --iterations cap
+    # iterated rounds on one partial row block, up to the --iterations cap
     "sweep --scheme nonlocal --iterations 1 --grid 300":
         "752595571b69e197337bf9c5a5ddd45a5cf5e450ae43216f8fc9e793f45d49df",
     "sweep --scheme nonlocal --iterations 100 --grid 300":
         "94ca48c10164c0d9b5a3cc0cf02c7340602d598b9df0a5cd459a3a6081683d15",
+    # the same over a whole row block and across its boundary
+    "sweep --scheme nonlocal --iterations 1 --grid 600":
+        "8eadeebd8f07976cdefe7978787f8a5a0674835621daa0832ea930284bb6729e",
+    "sweep --scheme nonlocal --iterations 100 --grid 600":
+        "b3b57e2c3b9ea5478c2da9c702a36282964744fafca7ccbd8206a287277a2e7a",
     "table1 --steps 3":
         "1217b950210e0a5f435f9a68e8c1f2eab8604d24747f4889b91b22de0929b592",
     "table1 --steps 64":

@@ -15,7 +15,6 @@ from entclone import (
     clone_local,
     clone_nonlocal,
     concurrence,
-    concurrence_xstate_oracle,
     correlation_matrix,
     density_from_dict,
     density_from_pure,
@@ -29,6 +28,7 @@ from entclone import (
 from entclone.states import NORM_TOL
 
 from helpers import random_density
+from oracles import concurrence_xstate_oracle
 
 
 def test_bell_state_components():
@@ -126,6 +126,16 @@ def test_density_from_dict_malformed():
         density_from_dict({"dim": 2, "re": "oops", "im": "oops"})
     with pytest.raises(BadDimensionError):
         density_from_dict({"dim": 4, "re": np.eye(2).tolist(), "im": np.zeros((2, 2)).tolist()})
+
+
+@pytest.mark.parametrize("dim, size", [(4.7, 4), (4.0, 4), ("4", 4), (True, 1), (float("inf"), 1)])
+def test_density_from_dict_takes_only_an_integer_dim(dim, size):
+    # each dim is one int() reads as the size of the arrays beside it, except infinity
+    payload = density_to_dict(np.eye(size) / size)
+    payload["dim"] = dim
+    with pytest.raises(ValueError, match="^malformed density payload: dim must be a JSON integer, got ") as info:
+        density_from_dict(payload)
+    assert type(info.value) is ValueError
 
 
 def test_file_round_trip(tmp_path):
