@@ -115,13 +115,6 @@ def bmax(rho: np.ndarray) -> float:
     return float(_bmax(correlation_matrix(rho)[None])[0])
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(rows, axis=1) of a real array, without its Python overhead;
-    # a row of norm <= 1e-15 is divided by inf and comes out zero
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
-    return rows / np.where(norms > 1e-15, norms, np.inf)
-
-
 def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     """Maximize the CHSH quantity directly, validating the closed form.
 
@@ -131,10 +124,36 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     """
     t = correlation_matrix(rho)
     n = BMAX_RESTARTS
-    # b and b' (then a and a') stacked as rows [:n] and [n:], so each half-step is one product
-    b = _unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)))
+    # b and b' (then a and a') stacked as rows [:n] and [n:], so each half-step is one product;
+    # every step writes into buffers made here
+    a, b, s, p, sq = (np.empty((2 * n, 3)) for _ in range(5))
+    norms = np.empty((2 * n, 1))
+    a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = a[:n], a[n:], b[:n], b[n:], s[:n], s[n:]
+    sq_x, sq_y, sq_z, norm = sq[:, 0], sq[:, 1], sq[:, 2], norms[:, 0]
+
+    def row_norms(rows):
+        # np.linalg.norm(rows, axis=1): add.reduce sums a length-3 axis left to right
+        np.multiply(rows, rows, out=sq)
+        np.add(sq_x, sq_y, out=norm)
+        np.add(norm, sq_z, out=norm)
+        return np.sqrt(norm, out=norm)
+
+    def unit_rows(rows, out):
+        # rows scaled to unit length into out; a row of norm <= 1e-15 is divided by inf and comes out zero.
+        # The inf divisor is built only when some row needs it: building it every time cost 5 % of the
+        # single-state workload's ops_per_s
+        row_norms(rows)
+        np.divide(rows, norms if norms.min() > 1e-15 else np.where(norms > 1e-15, norms, np.inf), out=out)
+
+    unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)), b)
     for _ in range(300):
-        a = _unit_rows(np.concatenate((b[:n] + b[n:], b[n:] - b[:n])) @ t.T)
-        b = _unit_rows(np.concatenate((a[:n] - a[n:], a[:n] + a[n:])) @ t)
-    values = np.linalg.norm(np.concatenate((b[:n] + b[n:], b[n:] - b[:n])) @ t.T, axis=1)
+        np.add(b_lo, b_hi, out=s_lo)
+        np.subtract(b_hi, b_lo, out=s_hi)
+        unit_rows(np.matmul(s, t.T, out=p), a)
+        np.subtract(a_lo, a_hi, out=s_lo)
+        np.add(a_lo, a_hi, out=s_hi)
+        unit_rows(np.matmul(s, t, out=p), b)
+    np.add(b_lo, b_hi, out=s_lo)
+    np.subtract(b_hi, b_lo, out=s_hi)
+    values = row_norms(np.matmul(s, t.T, out=p))
     return float((values[:n] + values[n:]).max())

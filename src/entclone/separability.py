@@ -54,32 +54,31 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]), tol)
 
 
-def _bisect_boundary(
-    scheme: CloneScheme, separable_end: float, entangled_end: float, tol: float
-) -> float:
-    while abs(entangled_end - separable_end) > tol:
-        # midpoints of the next _TREE_DEPTH bisection levels in heap order, as one stack:
-        # node k splits its bracket into 2k + 1 (mid entangled) and 2k + 2 (mid separable)
-        brackets, mids = [(separable_end, entangled_end)], []
-        while len(mids) < 2**_TREE_DEPTH - 1:
-            sep, ent = brackets[len(mids)]
-            mids.append((sep + ent) / 2)
-            brackets += [(sep, mids[-1]), (mids[-1], ent)]
-        entangled = _verdict(bell_clone(scheme, np.sqrt(mids)))[1]
-        node = 0
-        while node < len(mids) and abs(entangled_end - separable_end) > tol:
-            mid = mids[node]
-            if mid in (separable_end, entangled_end):
-                low, high = sorted((separable_end, entangled_end))
-                raise NoConvergenceError(
-                    f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], "
-                    f"wider than tol {tol:g}"
-                )
-            if entangled[node]:
-                entangled_end, node = mid, 2 * node + 1
-            else:
-                separable_end, node = mid, 2 * node + 2
-    return (separable_end + entangled_end) / 2
+def _tree(separable_end: float, entangled_end: float) -> list[float]:
+    # midpoints of the next _TREE_DEPTH bisection levels in heap order:
+    # node k splits its bracket into 2k + 1 (mid entangled) and 2k + 2 (mid separable)
+    brackets, mids = [(separable_end, entangled_end)], []
+    while len(mids) < 2**_TREE_DEPTH - 1:
+        sep, ent = brackets[len(mids)]
+        mids.append((sep + ent) / 2)
+        brackets += [(sep, mids[-1]), (mids[-1], ent)]
+    return mids
+
+
+def _walk(ends: list[float], mids: list[float], entangled: np.ndarray, tol: float) -> str | None:
+    # narrows ends = [separable_end, entangled_end] down one tree; returns the stall
+    # message if a midpoint no longer splits the bracket, None otherwise
+    node = 0
+    while node < len(mids) and abs(ends[1] - ends[0]) > tol:
+        mid = mids[node]
+        if mid in ends:
+            low, high = sorted(ends)
+            return f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], wider than tol {tol:g}"
+        if entangled[node]:
+            ends[1], node = mid, 2 * node + 1
+        else:
+            ends[0], node = mid, 2 * node + 2
+    return None
 
 
 def entanglement_interval(
@@ -92,11 +91,24 @@ def entanglement_interval(
     endpoints are located to within ``tol``, exploiting that the interval is
     symmetric about 1/2 and contains it.  Raises NoConvergenceError when
     ``tol`` is below the float spacing at an endpoint, so that the midpoint
-    no longer splits the bracket.
+    no longer splits the bracket; a high-endpoint stall is reported only
+    after the low endpoint converges.
     """
     scheme = CloneScheme(scheme)
     if not tol > 0.0:
         raise OutOfRangeError(f"tolerance must be positive, got {tol}")
-    low = _bisect_boundary(scheme, 0.0, 0.5, tol)
-    high = _bisect_boundary(scheme, 1.0, 0.5, tol)
-    return AlphaSquaredInterval(low=low, high=high)
+    # [separable_end, entangled_end] of the low and the high endpoint; every round stacks the
+    # tree midpoints of each endpoint still walking, and each walks its own tree
+    ends, stalls = [[0.0, 0.5], [1.0, 0.5]], [None, None]
+    while walking := [k for k in (0, 1) if stalls[k] is None and abs(ends[k][1] - ends[k][0]) > tol]:
+        trees = [_tree(*ends[k]) for k in walking]
+        entangled = _verdict(bell_clone(scheme, np.sqrt(np.concatenate(trees))))[1]
+        for k, mids, flags in zip(walking, trees, np.split(entangled, len(trees))):
+            stalls[k] = _walk(ends[k], mids, flags, tol)
+        # as in a sequential bisection, a high-endpoint stall is reported only after the low endpoint converges
+        if stalls[0] is not None:
+            raise NoConvergenceError(stalls[0])
+    if stalls[1] is not None:
+        raise NoConvergenceError(stalls[1])
+    (low_sep, low_ent), (high_sep, high_ent) = ends
+    return AlphaSquaredInterval(low=(low_sep + low_ent) / 2, high=(high_sep + high_ent) / 2)

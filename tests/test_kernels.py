@@ -22,10 +22,12 @@ from entclone import (
     OutOfRangeError,
     bell_state,
     bmax,
+    bmax_numeric,
     chsh_value,
     concurrence,
     correlation_matrix,
     density_from_pure,
+    entanglement_interval,
     entanglement_of_formation,
     hermitian_eig,
     iterate,
@@ -35,7 +37,7 @@ from entclone import (
     validate_density,
 )
 from entclone import cloning
-from entclone.bell import _PAULI_PAIRS, _bmax, _chsh, _correlations
+from entclone.bell import _PAULI_PAIRS, BMAX_RESTARTS, _bmax, _chsh, _correlations
 from entclone.cli import _BLOCK, main
 from entclone.cloning import _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof, _spin_flip
@@ -43,7 +45,7 @@ from entclone.linalg import HERMITIAN_TOL, PSD_TOL, _eigh, _psd_root, _transpose
 from entclone.separability import PPT_TOL, _verdict
 from entclone.states import TRACE_TOL, _check_densities
 
-from helpers import densities, random_density
+from helpers import densities, psi_minus, random_density
 
 
 def _nine_traces(rho):
@@ -94,10 +96,11 @@ def test_stacked_kernels_equal_their_n1_calls(n, pool, seed):
     picks = np.random.default_rng(seed).integers(len(pool), size=n)
     rhos = np.array([pool[i] for i in picks])
     stacked = _stacked_kernels(rhos)
-    alone = [_stacked_kernels(rhos[k:k + 1]) for k in range(n)]
+    # every row is a pool state, so each N=1 call is made once per pool state and gathered by picks
+    alone = [_stacked_kernels(rho[None]) for rho in pool]
     for index, whole in enumerate(stacked):
         assert whole.shape[0] == n
-        assert whole.tobytes() == np.concatenate([one[index] for one in alone]).tobytes()
+        assert whole.tobytes() == np.concatenate([alone[i][index] for i in picks]).tobytes()
 
 
 @pytest.mark.parametrize("scheme", [CloneScheme.LOCAL, CloneScheme.NONLOCAL])
@@ -108,10 +111,10 @@ def test_stacked_iterate_equals_its_per_row_calls(scheme, n, pool, seed):
     picks = np.random.default_rng(seed).integers(len(pool), size=n)
     rhos = np.array([pool[i] for i in picks])
     stacks = list(_iterate(rhos, scheme, 3))
-    rows = [iterate(rho, scheme, 3).states for rho in rhos]
+    alone = [iterate(rho, scheme, 3).states for rho in pool]
     assert len(stacks) == 4
     for step, stack in enumerate(stacks):
-        assert stack.tobytes() == np.array([states[step] for states in rows]).tobytes()
+        assert stack.tobytes() == np.array([alone[i][step] for i in picks]).tobytes()
 
 
 def _count_solves(monkeypatch):
@@ -144,6 +147,15 @@ def test_each_sweep_block_makes_two_eigh_and_two_eigvalsh(scheme, monkeypatch, c
     assert capsys.readouterr().out.count("\n") == 2002
 
 
+@pytest.mark.parametrize("scheme", ["pure", "local", "nonlocal"])
+@pytest.mark.parametrize("tol, stacks", [(0.1, 1), (1e-8, 7), (1e-14, 12)])
+def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monkeypatch):
+    # one stacked PPT solve per _TREE_DEPTH bisection levels holds both endpoints' midpoints
+    calls = _count_solves(monkeypatch)
+    entanglement_interval(scheme, tol)
+    assert calls == {"eigh": 0, "eigvalsh": stacks}
+
+
 def test_stacked_remix_check_is_live(monkeypatch):
     monkeypatch.setattr(cloning, "REMIX_TOL", -1.0)
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
@@ -167,6 +179,48 @@ def test_index_arithmetic_equals_the_matrix_products_it_replaced():
         traces = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
         assert _correlations(rhos).tobytes() == traces.real.tobytes()
         assert _spin_flip(rhos).tobytes() == (_SIGMA_YY @ rhos.conj() @ _SIGMA_YY).tobytes()
+
+
+def _unit_rows(rows):
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+    return rows / np.where(norms > 1e-15, norms, np.inf)
+
+
+def _allocating_bmax_numeric(rho, seed):
+    # the loop bmax_numeric ran before it wrote into buffers made once per call
+    t = correlation_matrix(rho)
+    n = BMAX_RESTARTS
+    b = _unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)))
+    for _ in range(300):
+        a = _unit_rows(np.concatenate((b[:n] + b[n:], b[n:] - b[:n])) @ t.T)
+        b = _unit_rows(np.concatenate((a[:n] - a[n:], a[:n] + a[n:])) @ t)
+    values = np.linalg.norm(np.concatenate((b[:n] + b[n:], b[n:] - b[:n])) @ t.T, axis=1)
+    return float((values[:n] + values[n:]).max())
+
+
+def _bell_diagonal(*weights):
+    # sum of weights[k] |B_k><B_k| over psi-, psi+, phi-, phi+
+    return sum(w * density_from_pure(bell_state(kind, np.sqrt(0.5))) for w, kind in zip(weights, BellKind))
+
+
+_BMAX_STATES = {
+    # T of rank 1: a product state, then Bell-diagonal; both reach zero rows inside the loop
+    "t_rank1_00": np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
+    "t_rank1_phi_mix": np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex),
+    "t_rank2": _bell_diagonal(0.2, 0.3, 0.0, 0.5),
+    "t_rank3_psi_minus": psi_minus(np.sqrt(0.5)),
+    # T = 0: every row has norm 0 and is divided by inf
+    "maximally_mixed": np.eye(4, dtype=complex) / 4,
+    "psi_minus_0.3": psi_minus(np.sqrt(0.3)),
+    **{f"random_{k}": random_density(np.random.default_rng(60 + k)) for k in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", list(_BMAX_STATES))
+def test_buffered_bmax_numeric_equals_the_allocating_loop(name):
+    rho = _BMAX_STATES[name]
+    expected = [_allocating_bmax_numeric(rho, seed).hex() for seed in range(4)]
+    assert [bmax_numeric(rho, seed).hex() for seed in range(4)] == expected
 
 
 def _scalar_eof(c):
