@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError
 from .linalg import HERMITIAN_TOL, PAULIS
-from .states import validate_two_qubit
+from .states import _two_qubit_stack
 
 UNIT_TOL = 1e-12
 BMAX_RESTARTS = 64  # random starting direction pairs of bmax_numeric
@@ -65,7 +65,7 @@ def _correlations(rhos: np.ndarray) -> np.ndarray:
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 matrix of Pauli-pair expectation values tr(rho sigma_i (x) sigma_j)."""
-    return _correlations(validate_two_qubit(rho)[None])[0]
+    return _correlations(_two_qubit_stack(rho)[0])[0]
 
 
 def correlation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -25,9 +26,9 @@ from .bell import _bmax, _chsh, _correlations, bmax_numeric, planar_pi4_config
 from .cloning import CloneScheme, _iterate, bell_clone
 from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
-from .linalg import hermitian_eig, require_two_qubit
+from .linalg import SpectralDecomposition, _psd_eigh
 from .separability import BISECTION_TOL, _verdict, entanglement_interval
-from .states import load_density
+from .states import _read_density, _two_qubit_stack
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
 _CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g"
@@ -111,19 +112,28 @@ def _build_parser() -> _Parser:
 _BLOCK = 512
 
 
-def _measures(rhos):
-    # every state reaching here came from a checked alpha, load_density or iterate
+def _measures(rhos, spectra):
+    # every state reaching here was built or checked, and spectra is the decomposition that checked it
     t = _correlations(rhos)
     low, entangled = _verdict(rhos)
-    c = _concurrence(rhos)[1]
+    c = _concurrence(rhos, spectra)[1]
     return t, _chsh(t, _PI4), _bmax(t), c, _eof(c), low, entangled
+
+
+def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> tuple[np.ndarray, SpectralDecomposition]:
+    # a sweep block's stack and decomposition: one channel round, or 1 + iterations iterate rounds, keeping the last
+    rhos = bell_clone(CloneScheme.PURE if iterations else scheme, alphas)
+    spectra = _psd_eigh(rhos)
+    if iterations:
+        rhos, spectra = deque(_iterate(rhos, spectra, scheme, 1 + iterations), maxlen=1).pop()
+    return rhos, spectra
 
 
 def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> list[str]:
     lines = [CSV_HEADER]
     for start in range(0, len(alphas), _BLOCK):
         block = alphas[start:start + _BLOCK]
-        _, chsh, closed, _, eof, low, _ = _measures(bell_clone(scheme, block, iterations))
+        _, chsh, closed, _, eof, low, _ = _measures(*_clone_block(scheme, iterations, block))
         rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), eof.tolist(), low.tolist())
         lines.extend(_CSV_ROW % row for row in rows)
     return lines
@@ -148,9 +158,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table1(args) -> int:
     singlet = bell_clone(CloneScheme.PURE, [np.sqrt(0.5)])
-    sequence = np.concatenate(list(_iterate(singlet, CloneScheme.NONLOCAL, args.steps)))
+    stacks, spectra = zip(*_iterate(singlet, _psd_eigh(singlet), CloneScheme.NONLOCAL, args.steps))
+    spectra = SpectralDecomposition(*map(np.concatenate, zip(*spectra)))
     print("step eof")
-    for step, eof in enumerate(_eof(_concurrence(sequence)[1]).tolist()):
+    for step, eof in enumerate(_eof(_concurrence(np.concatenate(stacks), spectra)[1]).tolist()):
         print(f"{step} {eof:.6f}")
     return 0
 
@@ -167,13 +178,13 @@ def _cmd_interval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     try:
-        rho = require_two_qubit(load_density(args.input))
-        t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rho[None]))
+        rhos, spectra = _two_qubit_stack(_read_density(args.input))
+        t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rhos, spectra))
     except (ValueError, NoConvergenceError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(f"trace: {np.trace(rho).real:.9g}")
-    print("eigenvalues: " + " ".join(f"{v:.9g}" for v in hermitian_eig(rho).eigenvalues))
+    print(f"trace: {np.trace(rhos[0]).real:.9g}")
+    print("eigenvalues: " + " ".join(f"{v:.9g}" for v in spectra.eigenvalues[0]))
     print(f"min PT eigenvalue: {low:.9g}")
     print(f"verdict: {'entangled' if entangled else 'separable'}")
     print("T matrix:")
@@ -184,7 +195,7 @@ def _cmd_analyze(args) -> int:
     print(f"concurrence: {c:.9g}")
     print(f"eof: {eof:.9g}")
     if args.validate_bmax:
-        numeric = bmax_numeric(rho, seed=args.seed)
+        numeric = bmax_numeric(rhos[0], seed=args.seed)
         print(f"bmax numeric (seed {args.seed}): {numeric:.9g}")
         print(f"bmax gap: {abs(numeric - closed):.9g}")
     return 0

@@ -20,15 +20,14 @@ the positive map whose inseparability threshold is 16 alpha beta = 5.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadDimensionError, OutOfRangeError
-from .linalg import _eigh, _partial_trace
-from .states import BellKind, _check_densities, bell_state, density_from_pure, validate_density, validate_two_qubit
+from .linalg import SpectralDecomposition, _partial_trace
+from .states import BellKind, _check_densities, _two_qubit_stack, bell_state, density_from_pure, validate_density
 
 QUBIT_SHRINK = 2.0 / 3.0
 REGISTER_SHRINK = 3.0 / 5.0
@@ -75,20 +74,19 @@ class CloneSequence:
 
 def clone_nonlocal(rho: np.ndarray) -> np.ndarray:
     """Clone a two-qubit state as a single 4-dimensional register."""
-    return CloneScheme.NONLOCAL.apply(validate_two_qubit(rho))
+    return CloneScheme.NONLOCAL.apply(_two_qubit_stack(rho)[0][0])
 
 
 def clone_local(rho: np.ndarray) -> np.ndarray:
     """Clone each qubit of a two-qubit state with its own machine."""
-    return CloneScheme.LOCAL.apply(validate_two_qubit(rho))
+    return CloneScheme.LOCAL.apply(_two_qubit_stack(rho)[0][0])
 
 
-def _iterate(rhos: np.ndarray, scheme: CloneScheme, n: int) -> Iterator[np.ndarray]:
-    # iterate over an (N, 4, 4) stack of valid states: yields the n + 1 stacks visited;
-    # each round's density check hands its eigendecomposition to the next round
-    yield rhos
-    weights, vectors = _eigh(rhos)
+def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, n: int) -> Iterator[tuple]:
+    # iterate over an (N, 4, 4) stack of valid states and its decomposition: yields n + 1 (stack, decomposition) pairs
+    yield rhos, spectra
     for _ in range(n):
+        weights, vectors = spectra
         # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]; the remix check vets eigh's norms
         kets = vectors.swapaxes(-1, -2)
         clones = scheme.apply(kets[..., :, None] * kets.conj()[..., None, :])
@@ -101,9 +99,8 @@ def _iterate(rhos: np.ndarray, scheme: CloneScheme, n: int) -> Iterator[np.ndarr
             raise RuntimeError(
                 f"eigenbasis remixing deviates from the direct channel by {gap:.3e}"
             )
-        weights, vectors = _check_densities(remixed)
-        rhos = remixed
-        yield rhos
+        rhos, spectra = remixed, _check_densities(remixed)
+        yield rhos, spectra
 
 
 def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
@@ -117,22 +114,12 @@ def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
     """
     if n < 0:
         raise OutOfRangeError(f"step count must be non-negative, got {n}")
-    stacks = _iterate(validate_two_qubit(rho)[None], scheme, n)
-    return CloneSequence(states=[stack[0] for stack in stacks], scheme=scheme)
+    return CloneSequence(states=[rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, n)], scheme=scheme)
 
 
-def bell_clone(scheme: CloneScheme, alphas, extra_rounds: int = 0) -> np.ndarray:
-    """Outputs of ``scheme`` on alpha|01> - beta|10>, as an (N, 4, 4) stack over ``alphas``.
-
-    One round is the channel applied to the whole stack; with extra rounds
-    the stack goes through 1 + extra_rounds stacked ``iterate`` rounds, each
-    keeping its remix check.
-    """
-    rhos = density_from_pure(bell_state(BellKind.PSI_MINUS, alphas))
-    if extra_rounds == 0:
-        return scheme.apply(rhos)
-    # keep only the last stack, so each round's stack is freed once the next is built
-    return deque(_iterate(rhos, scheme, 1 + extra_rounds), maxlen=1).pop()
+def bell_clone(scheme: CloneScheme, alphas) -> np.ndarray:
+    """Outputs of ``scheme`` on alpha|01> - beta|10>, as an (N, 4, 4) stack over ``alphas``."""
+    return scheme.apply(density_from_pure(bell_state(BellKind.PSI_MINUS, alphas)))
 
 
 def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import _eigh, _psd_root, require_two_qubit
-from .states import validate_two_qubit
+from .linalg import SpectralDecomposition, _eigh, _psd_root, require_two_qubit
+from .states import _two_qubit_stack
 
 # eigenvalues of sqrt(rho) rho~ sqrt(rho) below this are eigensolver noise;
 # sqrt would amplify ~1e-16 residue to ~1e-8 in the lambdas
@@ -37,9 +37,9 @@ class ConcurrenceResult:
     concurrence: float
 
 
-def _concurrence(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # unchecked kernel of concurrence: (N, 4) lambdas and (N,) C of validated 4x4 states
-    root = _psd_root(rhos)
+def _concurrence(rhos: np.ndarray, spectra: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    # unchecked kernel of concurrence: (N, 4) lambdas and (N,) C of validated 4x4 states and their decomposition
+    root = _psd_root(spectra)
     w = _eigh(root @ _spin_flip(rhos) @ root).eigenvalues
     lambdas = np.sqrt(np.where(w < NOISE_FLOOR, 0.0, w))
     c = np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3])
@@ -52,7 +52,7 @@ def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     The l_i are the descending square roots of the eigenvalues of
     sqrt(rho) rho~ sqrt(rho) with rho~ the spin-flipped state.
     """
-    lambdas, c = _concurrence(validate_two_qubit(rho)[None])
+    lambdas, c = _concurrence(*_two_qubit_stack(rho))
     return ConcurrenceResult(lambdas=lambdas[0], concurrence=float(c[0]))
 
 
@@ -77,4 +77,4 @@ def _eof(c: np.ndarray) -> np.ndarray:
 
 def entanglement_of_formation(rho: np.ndarray) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2)."""
-    return float(_eof(_concurrence(validate_two_qubit(rho)[None])[1])[0])
+    return float(_eof(_concurrence(*_two_qubit_stack(rho))[1])[0])

@@ -8,8 +8,8 @@ The private helpers (``_eigh``, ``_psd_eigh``, ``_psd_root``,
 ``_transpose_second``, ``_partial_trace``) act on every matrix of a stack of
 shape (..., n, n) and make each check once per stack; the public functions
 check one square matrix and call them.  The finite and Hermiticity checks are
-written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``,
-which ``_psd_root`` and the density check in ``states`` both call.
+written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``;
+``_psd_root`` builds the root from a ``_psd_eigh`` decomposition it is given.
 """
 
 from __future__ import annotations
@@ -70,15 +70,15 @@ def require_two_qubit(m: np.ndarray) -> np.ndarray:
 
 def _eigh(m: np.ndarray) -> SpectralDecomposition:
     # hermitian_eig of each matrix of a stack; one finite and one Hermiticity check for all
-    defect = hermiticity_defect(_finite(m))
-    if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
-    try:
-        # entries near the float maximum overflow here; eigh's LinAlgError reports it
-        with np.errstate(over="ignore", invalid="ignore"):
+    # entries near the float maximum overflow here: the defect reads inf, or eigh's LinAlgError reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = hermiticity_defect(_finite(m))
+        if defect > HERMITIAN_TOL:
+            raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
+        try:
             values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(str(exc)) from exc
     return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())
 
 
@@ -100,9 +100,9 @@ def _psd_eigh(m: np.ndarray) -> SpectralDecomposition:
     return decomposition
 
 
-def _psd_root(m: np.ndarray) -> np.ndarray:
-    # psd_sqrt of each matrix of a stack
-    values, vectors = _psd_eigh(m)
+def _psd_root(decomposition: SpectralDecomposition) -> np.ndarray:
+    # psd_sqrt of each matrix of a stack, from its _psd_eigh decomposition
+    values, vectors = decomposition
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ dagger(vectors)
     return (root + dagger(root)) / 2
 
@@ -113,12 +113,12 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are clamped to 0; anything lower raises
     NotPsdError.
     """
-    return _psd_root(_as_square(m))
+    return _psd_root(_psd_eigh(_as_square(m)))
 
 
 def _transpose_second(m: np.ndarray) -> np.ndarray:
     # partial_transpose of each 4x4 matrix of a stack: swap the second qubit's two indices
-    return _finite(m).reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(m.shape)
+    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -1).reshape(m.shape)
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -128,7 +128,7 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     input.  The map is an exact entry permutation, hence involutive and
     trace preserving.
     """
-    return _transpose_second(require_two_qubit(np.asarray(m, dtype=complex)))
+    return _transpose_second(_finite(require_two_qubit(np.asarray(m, dtype=complex))))
 
 
 def _partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
 from .linalg import _transpose_second, dagger
-from .states import validate_two_qubit
+from .states import _two_qubit_stack
 
 # a min PT eigenvalue in [-PPT_TOL, 0) reads separable though concurrence is positive there
 PPT_TOL = 1e-10
@@ -50,7 +50,7 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
 
     States with |min eigenvalue| <= tol are reported separable.
     """
-    low, entangled = _verdict(validate_two_qubit(rho)[None], tol)
+    low, entangled = _verdict(_two_qubit_stack(rho)[0], tol)
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]), tol)
 
 

@@ -67,7 +67,8 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
 def _check_densities(m: np.ndarray) -> SpectralDecomposition:
     # validate_density of each matrix of a stack (..., n, n); returns its checked eigendecomposition
     decomposition = _psd_eigh(m)
-    traces = np.trace(m, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):  # a trace past the float maximum reads inf and fails below
+        traces = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():
         raise BadTraceError(f"trace must be 1, got {traces[off].flat[0].real:.12g}")
@@ -86,9 +87,11 @@ def validate_density(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def validate_two_qubit(m: np.ndarray) -> np.ndarray:
-    """validate_density for a two-qubit state; also raises BadDimensionError unless m is 4x4."""
-    return require_two_qubit(validate_density(m))
+def _two_qubit_stack(m: np.ndarray) -> tuple[np.ndarray, SpectralDecomposition]:
+    # validate_density, then BadDimensionError unless 4x4: m as a (1, 4, 4) stack and its checked decomposition
+    m = _as_square(m)
+    spectra = _check_densities(m[None])
+    return require_two_qubit(m)[None], spectra
 
 
 def density_to_dict(rho: np.ndarray) -> dict:
@@ -103,6 +106,10 @@ def density_to_dict(rho: np.ndarray) -> dict:
 
 def density_from_dict(data: dict) -> np.ndarray:
     """Parse and validate a density matrix payload produced by density_to_dict."""
+    return validate_density(_parse_density(data))
+
+
+def _parse_density(data: dict) -> np.ndarray:
     try:
         dim = data["dim"]
         # bool is a subclass of int, so JSON true would otherwise read as 1
@@ -116,7 +123,8 @@ def density_from_dict(data: dict) -> np.ndarray:
         raise BadDimensionError(
             f"payload arrays must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
         )
-    return validate_density(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which the density check reports
+        return re + 1j * im
 
 
 def save_density(path: str | Path, rho: np.ndarray) -> None:
@@ -125,6 +133,10 @@ def save_density(path: str | Path, rho: np.ndarray) -> None:
 
 def load_density(path: str | Path) -> np.ndarray:
     """Load and validate a density matrix from a JSON file."""
+    return validate_density(_read_density(path))
+
+
+def _read_density(path: str | Path) -> np.ndarray:
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -135,4 +147,4 @@ def load_density(path: str | Path) -> np.ndarray:
         raise ValueError("state file nests JSON too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ValueError("state file must hold a JSON object")
-    return density_from_dict(data)
+    return _parse_density(data)

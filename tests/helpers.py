@@ -1,4 +1,4 @@
-"""State builders and the child-process environment shared across the test modules."""
+"""State builders, the eigensolve counter and the child-process environment shared across the test modules."""
 
 import os
 from pathlib import Path
@@ -47,6 +47,17 @@ def densities(draw):
     trace = np.trace(rho).real
     assume(trace > 1e-2)
     return rho / trace
+
+
+def count_solves(monkeypatch):
+    """Count the stacked np.linalg.eigh and eigvalsh calls made from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def package_env():

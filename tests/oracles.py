@@ -7,7 +7,7 @@ checks; nothing in the package or its command line calls them.
 import numpy as np
 
 from entclone import OutOfRangeError, validate_density
-from entclone.states import validate_two_qubit
+from entclone.linalg import require_two_qubit
 
 X_SHAPE_TOL = 1e-12
 
@@ -35,7 +35,7 @@ def concurrence_xstate_oracle(rho: np.ndarray) -> float:
     (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).
     Raises NotXShapeError when any other entry is nonzero.
     """
-    rho = validate_two_qubit(rho)
+    rho = require_two_qubit(validate_density(rho))
     mask = np.zeros((4, 4), dtype=bool)
     mask[np.arange(4), np.arange(4)] = True
     mask[np.arange(4), np.arange(4)[::-1]] = True

@@ -17,7 +17,9 @@ from entclone import (
     partial_trace,
     symmetric_cloner_joint,
 )
+from entclone.cli import _clone_block
 from entclone.cloning import REMIX_TOL, _iterate, bell_clone
+from entclone.linalg import _psd_eigh
 
 from helpers import densities, random_density
 from oracles import shrink_channel
@@ -59,7 +61,7 @@ def test_bell_clone_applies_the_channel_once_then_iterates(scheme):
     alphas = [0.6, 0.0, 1.0]
     rhos = [_bell_density(BellKind.PSI_MINUS, alpha) for alpha in alphas]
     assert np.array_equal(bell_clone(scheme, alphas), [scheme.apply(rho) for rho in rhos])
-    assert np.array_equal(bell_clone(scheme, alphas, 2), [iterate(rho, scheme, 3).states[-1] for rho in rhos])
+    assert np.array_equal(_clone_block(scheme, 2, alphas)[0], [iterate(rho, scheme, 3).states[-1] for rho in rhos])
 
 
 def test_clone_nonlocal_is_register_shrink():
@@ -191,12 +193,12 @@ def test_remix_check_holds_its_tolerance_edge(scheme, monkeypatch):
     stack = np.stack([_bell_density(BellKind.PSI_MINUS, np.sqrt(0.5)), np.eye(4) / 4.0])
     singlet = stack[0]
     delta["value"] = REMIX_TOL / 2
-    assert len(list(_iterate(stack, scheme, 2))) == 3
+    assert len(list(_iterate(stack, _psd_eigh(stack), scheme, 2))) == 3
     assert len(iterate(singlet, scheme, 2).states) == 3
     delta["value"] = 2 * REMIX_TOL
     message = "eigenbasis remixing deviates from the direct channel by 2.000e-10"
     with pytest.raises(RuntimeError, match=f"^{message}$"):
-        list(_iterate(stack, scheme, 2))
+        list(_iterate(stack, _psd_eigh(stack), scheme, 2))
     with pytest.raises(RuntimeError, match=f"^{message}$"):
         iterate(singlet, scheme, 2)
 

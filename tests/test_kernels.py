@@ -34,18 +34,19 @@ from entclone import (
     planar_pi4_config,
     ppt_verdict,
     psd_sqrt,
+    save_density,
     validate_density,
 )
 from entclone import cloning
 from entclone.bell import _PAULI_PAIRS, BMAX_RESTARTS, _bmax, _chsh, _correlations
-from entclone.cli import _BLOCK, main
+from entclone.cli import _BLOCK, _clone_block, main
 from entclone.cloning import _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof, _spin_flip
-from entclone.linalg import HERMITIAN_TOL, PSD_TOL, _eigh, _psd_root, _transpose_second
+from entclone.linalg import HERMITIAN_TOL, PSD_TOL, SpectralDecomposition, _eigh, _psd_eigh, _psd_root, _transpose_second
 from entclone.separability import PPT_TOL, _verdict
-from entclone.states import TRACE_TOL, _check_densities
+from entclone.states import TRACE_TOL, _check_densities, _two_qubit_stack
 
-from helpers import densities, psi_minus, random_density
+from helpers import count_solves, densities, psi_minus, random_density
 
 
 def _nine_traces(rho):
@@ -66,7 +67,7 @@ def test_public_measures_equal_their_kernels(rho):
     cfg = planar_pi4_config()
     assert chsh_value(rho, cfg) == _chsh(t[None], cfg)[0]
     assert bmax(rho) == _bmax(t[None])[0]
-    public, (lambdas, c) = concurrence(rho), _concurrence(rho[None])
+    public, (lambdas, c) = concurrence(rho), _concurrence(rho[None], _psd_eigh(rho[None]))
     assert public.concurrence == c[0]
     assert public.lambdas.tobytes() == lambdas[0].tobytes()
     assert entanglement_of_formation(rho) == _eof(c[0])
@@ -80,10 +81,11 @@ def _stacked_kernels(rhos):
     cfg = planar_pi4_config()
     t = _correlations(rhos)
     values, vectors = _eigh(rhos)
-    lambdas, c = _concurrence(rhos)
+    spectra = _psd_eigh(rhos)
+    lambdas, c = _concurrence(rhos, spectra)
     low, entangled = _verdict(rhos, PPT_TOL)
     return [
-        t, _chsh(t, cfg), _bmax(t), values, vectors, _psd_root(rhos), lambdas, c, low,
+        t, _chsh(t, cfg), _bmax(t), values, vectors, _psd_root(spectra), lambdas, c, low,
         entangled, _transpose_second(rhos), CloneScheme.LOCAL.apply(rhos),
         CloneScheme.NONLOCAL.apply(rhos),
     ]
@@ -110,37 +112,66 @@ def test_stacked_kernels_equal_their_n1_calls(n, pool, seed):
 def test_stacked_iterate_equals_its_per_row_calls(scheme, n, pool, seed):
     picks = np.random.default_rng(seed).integers(len(pool), size=n)
     rhos = np.array([pool[i] for i in picks])
-    stacks = list(_iterate(rhos, scheme, 3))
+    stacks = list(_iterate(rhos, _psd_eigh(rhos), scheme, 3))
     alone = [iterate(rho, scheme, 3).states for rho in pool]
     assert len(stacks) == 4
-    for step, stack in enumerate(stacks):
+    for step, (stack, _) in enumerate(stacks):
         assert stack.tobytes() == np.array([alone[i][step] for i in picks]).tobytes()
-
-
-def _count_solves(monkeypatch):
-    # counts the stacked eigh and eigvalsh calls made from here on
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_each_iterate_round_makes_one_eigensolve(n, monkeypatch):
-    # one eigh before the rounds, then one per round inside its density check
-    calls = _count_solves(monkeypatch)
+    # _iterate is handed its input's decomposition, then each round's density check makes one eigh
     rhos = density_from_pure(bell_state(BellKind.PSI_MINUS, np.linspace(0.0, 1.0, 5)))
-    assert len(list(_iterate(rhos, CloneScheme.NONLOCAL, n))) == n + 1
-    assert calls == {"eigh": n + 1, "eigvalsh": 0}
+    spectra = _psd_eigh(rhos)
+    calls = count_solves(monkeypatch)
+    assert len(list(_iterate(rhos, spectra, CloneScheme.NONLOCAL, n))) == n + 1
+    assert calls == {"eigh": n, "eigvalsh": 0}
+
+
+_STATE = "{state}"
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        # the load check, then the PT spectrum, T^T T and the concurrence product
+        (["analyze", "--input", _STATE], 4),
+        # bmax_numeric checks the state it is handed again, through correlation_matrix
+        (["analyze", "--input", _STATE, "--validate-bmax"], 5),
+        # the pure input, 4 rounds, then the PT spectrum, T^T T and the concurrence product
+        (["sweep", "--scheme", "nonlocal", "--iterations", "3", "--grid", "300"], 8),
+        # the singlet, one check per step, and one concurrence product for the whole chain
+        (["table1", "--steps", "1"], 3),
+        (["table1", "--steps", "5"], 7),
+    ],
+    ids=["analyze", "analyze-validate-bmax", "sweep-iterations-3", "table1-1", "table1-5"],
+)
+def test_each_checked_state_is_diagonalized_once(argv, solves, tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_density(path, random_density(np.random.default_rng(3)))
+    calls = count_solves(monkeypatch)
+    assert main([str(path) if arg == _STATE else arg for arg in argv]) == 0
+    assert sum(calls.values()) == solves
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_public_iterate_and_concurrence_diagonalize_each_state_once(n, monkeypatch):
+    rho = random_density(np.random.default_rng(4))
+    calls = count_solves(monkeypatch)
+    iterate(rho, CloneScheme.NONLOCAL, n)
+    assert sum(calls.values()) == n + 1
+    for measure in (concurrence, entanglement_of_formation):
+        calls.update(eigh=0, eigvalsh=0)
+        measure(rho)
+        # the density check and the eigenvalues of sqrt(rho) rho~ sqrt(rho)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
 
 
 @pytest.mark.parametrize("scheme", [scheme.value for scheme in CloneScheme])
 def test_each_sweep_block_makes_two_eigh_and_two_eigvalsh(scheme, monkeypatch, capsys):
     # per block: eigh for the concurrence root and its product, eigvalsh for the PT spectrum and T^T T
-    calls = _count_solves(monkeypatch)
+    calls = count_solves(monkeypatch)
     assert main(["sweep", "--scheme", scheme, "--grid", "2001"]) == 0
     blocks = -(-2001 // _BLOCK)
     assert calls == {"eigh": 2 * blocks, "eigvalsh": 2 * blocks}
@@ -151,7 +182,7 @@ def test_each_sweep_block_makes_two_eigh_and_two_eigvalsh(scheme, monkeypatch, c
 @pytest.mark.parametrize("tol, stacks", [(0.1, 1), (1e-8, 7), (1e-14, 12)])
 def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monkeypatch):
     # one stacked PPT solve per _TREE_DEPTH bisection levels holds both endpoints' midpoints
-    calls = _count_solves(monkeypatch)
+    calls = count_solves(monkeypatch)
     entanglement_interval(scheme, tol)
     assert calls == {"eigh": 0, "eigvalsh": stacks}
 
@@ -161,7 +192,7 @@ def test_stacked_remix_check_is_live(monkeypatch):
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
         iterate(np.eye(4) / 4, CloneScheme.NONLOCAL, 1)
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
-        bell_clone(CloneScheme.NONLOCAL, [0.0, 0.6, 1.0], 1)
+        _clone_block(CloneScheme.NONLOCAL, 1, [0.0, 0.6, 1.0])
 
 
 # sigma_y (x) sigma_y, the matrix the spin flip was computed with
@@ -173,12 +204,29 @@ def test_index_arithmetic_equals_the_matrix_products_it_replaced():
     # included, on random states and on Bell-clone stacks full of exact zeros
     rng = np.random.default_rng(5)
     alphas = np.linspace(0.0, 1.0, _BLOCK + 3)
-    stacks = [np.array([random_density(rng) for _ in alphas]), bell_clone(CloneScheme.NONLOCAL, alphas, 2)]
+    stacks = [np.array([random_density(rng) for _ in alphas]), _clone_block(CloneScheme.NONLOCAL, 2, alphas)[0]]
     stacks += [bell_clone(scheme, alphas) for scheme in CloneScheme]
     for rhos in stacks:
         traces = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
         assert _correlations(rhos).tobytes() == traces.real.tobytes()
         assert _spin_flip(rhos).tobytes() == (_SIGMA_YY @ rhos.conj() @ _SIGMA_YY).tobytes()
+
+
+def test_concurrence_of_a_reused_decomposition_equals_a_fresh_solve():
+    # _concurrence takes the decomposition a density check made: of a whole stack in an iterate
+    # round, or of one state at a time and concatenated, as table1 does; both must give the bytes
+    # of diagonalizing the stack again
+    rng = np.random.default_rng(8)
+    alphas = np.linspace(0.0, 1.0, _BLOCK + 3)
+    stacks = [np.array([random_density(rng) for _ in alphas])] + [bell_clone(scheme, alphas) for scheme in CloneScheme]
+    for rhos in stacks:
+        *_, (last, spectra) = _iterate(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 2)
+        rows = [_two_qubit_stack(rho) for rho in rhos]
+        concatenated = SpectralDecomposition(*(np.concatenate(parts) for parts in zip(*(s for _, s in rows))))
+        for states, reused in ((last, spectra), (rhos, concatenated)):
+            fresh = _concurrence(states, _psd_eigh(states))
+            for got, expected in zip(_concurrence(states, reused), fresh):
+                assert got.tobytes() == expected.tobytes()
 
 
 def _unit_rows(rows):
@@ -260,14 +308,20 @@ _NOT_FINITE = np.full((4, 4), np.nan, dtype=complex)
 _BAD_TRACE = np.eye(4, dtype=complex) / 2
 
 
+def _concurrence_of_checked(rhos):
+    # _concurrence is unchecked; the decomposition it is handed carries the checks
+    return _concurrence(rhos, _psd_eigh(rhos))
+
+
 @pytest.mark.parametrize(
     "kernel, member, error",
     [
-        (_concurrence, _NOT_PSD, NotPsdError),
-        (_concurrence, _NOT_HERMITIAN, NotHermitianError),
-        (_concurrence, _NOT_FINITE, ValueError),
+        (_concurrence_of_checked, _NOT_PSD, NotPsdError),
+        (_concurrence_of_checked, _NOT_HERMITIAN, NotHermitianError),
+        (_concurrence_of_checked, _NOT_FINITE, ValueError),
         (_correlations, _NOT_HERMITIAN, NotHermitianError),
-        (lambda rhos: _verdict(rhos, PPT_TOL), _NOT_FINITE, ValueError),
+        # unchecked: the finite check sits at the boundary, so eigvalsh's own failure reports it
+        (lambda rhos: _verdict(rhos, PPT_TOL), _NOT_FINITE, np.linalg.LinAlgError),
         (_check_densities, _NOT_FINITE, ValueError),
         (_check_densities, _NOT_HERMITIAN, NotHermitianError),
         (_check_densities, _NOT_PSD, NotPsdError),

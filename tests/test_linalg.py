@@ -100,6 +100,17 @@ def test_partial_transpose_wrong_size():
         partial_transpose(np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_partial_transpose_rejects_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        partial_transpose(m)
+    # the shape is checked first
+    with pytest.raises(BadDimensionError):
+        partial_transpose(np.full((2, 2), bad))
+
+
 def test_partial_trace_recovers_factors():
     rng = np.random.default_rng(5)
     for _ in range(10):
