@@ -35,6 +35,11 @@ REGISTER_SHRINK = 3.0 / 5.0
 # per-step agreement bound between eigenbasis remixing and the direct channel
 REMIX_TOL = 1e-10
 
+# the channels' constant terms, built once
+_REGISTER_NOISE = (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
+_QUBIT_PAIR_NOISE = np.eye(4) / 36.0
+_EYE2 = np.eye(2)
+
 
 class CloneScheme(enum.Enum):
     """The channel a two-qubit state passes through; PURE is the identity."""
@@ -54,14 +59,13 @@ class CloneScheme(enum.Enum):
         if self is CloneScheme.PURE:
             return rho
         if self is CloneScheme.NONLOCAL:
-            return REGISTER_SHRINK * rho + (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
+            return REGISTER_SHRINK * rho + _REGISTER_NOISE
         rho_a = _partial_trace(rho, (2, 2), "first")
         rho_b = _partial_trace(rho, (2, 2), "second")
-        eye2 = np.eye(2)
         # rho_a (x) I and I (x) rho_b: the products np.kron forms, broadcast over the stack
-        a_eye = (rho_a[..., :, None, :, None] * eye2[:, None, :]).reshape(rho.shape)
-        eye_b = (eye2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rho.shape)
-        return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + np.eye(4) / 36.0
+        a_eye = (rho_a[..., :, None, :, None] * _EYE2[:, None, :]).reshape(rho.shape)
+        eye_b = (_EYE2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rho.shape)
+        return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + _QUBIT_PAIR_NOISE
 
 
 @dataclass
@@ -90,10 +94,11 @@ def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSche
         # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]; the remix check vets eigh's norms
         kets = vectors.swapaxes(-1, -2)
         clones = scheme.apply(kets[..., :, None] * kets.conj()[..., None, :])
-        remixed = np.zeros_like(rhos)
-        # summed term by term in eigenvalue order; a .sum over k reorders the additions
-        for k in range(4):
-            remixed = remixed + weights[:, k, None, None] * clones[:, k]
+        weighted = weights[:, :, None, None] * clones
+        # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 in one buffer; a .sum over k reorders the additions
+        remixed = weighted[:, 0] + 0.0
+        for k in range(1, 4):
+            remixed += weighted[:, k]
         gap = float(np.abs(remixed - scheme.apply(rhos)).max())
         if gap > REMIX_TOL:
             raise RuntimeError(
@@ -103,15 +108,17 @@ def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSche
         yield rhos, spectra
 
 
-def iterate(rho: np.ndarray, scheme: CloneScheme, n: int) -> CloneSequence:
+def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> CloneSequence:
     """Clone a state n times, feeding each output back in as the next input.
 
     A mixed intermediate state is first diagonalized, each eigenvector is
     cloned separately, and the results are remixed with the eigenvalue
     weights.  Channel linearity makes this equal to cloning the mixed state
     directly; both are computed and required to agree within REMIX_TOL, and
-    every output is checked as a density matrix.
+    every output is checked as a density matrix.  ``scheme`` is a
+    CloneScheme or its value ("pure", "local", "nonlocal").
     """
+    scheme = CloneScheme(scheme)
     if n < 0:
         raise OutOfRangeError(f"step count must be non-negative, got {n}")
     return CloneSequence(states=[rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, n)], scheme=scheme)

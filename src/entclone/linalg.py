@@ -35,7 +35,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Maximum absolute entry of m - m^dagger (over the whole of a stack)."""
-    return float(np.abs(m - dagger(m)).max())
+    return _defect(m, dagger(m))
+
+
+def _defect(m: np.ndarray, m_dagger: np.ndarray) -> float:
+    return float(np.abs(m - m_dagger).max())
 
 
 class SpectralDecomposition(NamedTuple):
@@ -69,14 +73,16 @@ def require_two_qubit(m: np.ndarray) -> np.ndarray:
 
 
 def _eigh(m: np.ndarray) -> SpectralDecomposition:
-    # hermitian_eig of each matrix of a stack; one finite and one Hermiticity check for all
-    # entries near the float maximum overflow here: the defect reads inf, or eigh's LinAlgError reports it
+    # hermitian_eig of each matrix of a stack. Every non-finite entry makes the defect NaN or inf, so the finite
+    # check runs only when the Hermiticity test fails; entries near the float maximum overflow the defect, or fail eigh
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = hermiticity_defect(_finite(m))
-        if defect > HERMITIAN_TOL:
+        m_dagger = dagger(m)
+        defect = _defect(m, m_dagger)
+        if not defect <= HERMITIAN_TOL:
+            _finite(m)
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
         try:
-            values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
+            values, vectors = np.linalg.eigh((m + m_dagger) / 2)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
     return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())

@@ -48,8 +48,10 @@ def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.nda
 def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     """Classify a two-qubit state by the sign of its minimal PT eigenvalue.
 
-    States with |min eigenvalue| <= tol are reported separable.
+    States with |min eigenvalue| <= tol are reported separable; tol must be finite and >= 0.
     """
+    if not 0.0 <= tol < np.inf:
+        raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol}")
     low, entangled = _verdict(_two_qubit_stack(rho)[0], tol)
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]), tol)
 

@@ -68,10 +68,9 @@ def _check_densities(m: np.ndarray) -> SpectralDecomposition:
     # validate_density of each matrix of a stack (..., n, n); returns its checked eigendecomposition
     decomposition = _psd_eigh(m)
     with np.errstate(over="ignore"):  # a trace past the float maximum reads inf and fails below
-        traces = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(traces - 1.0) > TRACE_TOL
-    if off.any():
-        raise BadTraceError(f"trace must be 1, got {traces[off].flat[0].real:.12g}")
+        traces = m.trace(axis1=-2, axis2=-1)
+    if (deviations := np.abs(traces - 1.0)).max() > TRACE_TOL:
+        raise BadTraceError(f"trace must be 1, got {traces[deviations > TRACE_TOL][0].real:.12g}")
     return decomposition
 
 

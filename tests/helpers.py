@@ -49,6 +49,13 @@ def densities(draw):
     return rho / trace
 
 
+def with_member(member, n=5, at=3):
+    """A stack of n random states whose row ``at`` is replaced by member."""
+    rhos = np.array([random_density(np.random.default_rng(k)) for k in range(n)])
+    rhos[at] = member
+    return rhos
+
+
 def count_solves(monkeypatch):
     """Count the stacked np.linalg.eigh and eigvalsh calls made from here on."""
     calls = {"eigh": 0, "eigvalsh": 0}

@@ -154,6 +154,15 @@ def test_iterate_rejects_negative_count():
         iterate(np.eye(4) / 4.0, CloneScheme.LOCAL, -1)
 
 
+def test_iterate_takes_the_enum_or_its_value():
+    rho = _bell_density(BellKind.PSI_MINUS, 0.6)
+    by_value, by_member = iterate(rho, "nonlocal", 2), iterate(rho, CloneScheme.NONLOCAL, 2)
+    assert by_value.scheme is CloneScheme.NONLOCAL
+    assert [s.tobytes() for s in by_value.states] == [s.tobytes() for s in by_member.states]
+    with pytest.raises(ValueError, match="^'global' is not a valid CloneScheme$"):
+        iterate(rho, "global", 2)
+
+
 def test_clones_of_product_states_stay_product_like():
     # local cloning of a product state keeps the marginals independent
     rng = np.random.default_rng(26)

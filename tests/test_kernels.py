@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from entclone import (
     PAULI_Y,
     PAULIS,
+    REGISTER_SHRINK,
     BadDimensionError,
     BadTraceError,
     BellKind,
@@ -40,13 +41,23 @@ from entclone import (
 from entclone import cloning
 from entclone.bell import _PAULI_PAIRS, BMAX_RESTARTS, _bmax, _chsh, _correlations
 from entclone.cli import _BLOCK, _clone_block, main
-from entclone.cloning import _iterate, bell_clone
+from entclone.cloning import REMIX_TOL, _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof, _spin_flip
-from entclone.linalg import HERMITIAN_TOL, PSD_TOL, SpectralDecomposition, _eigh, _psd_eigh, _psd_root, _transpose_second
+from entclone.linalg import (
+    HERMITIAN_TOL,
+    PSD_TOL,
+    SpectralDecomposition,
+    _eigh,
+    _partial_trace,
+    _psd_eigh,
+    _psd_root,
+    _transpose_second,
+    dagger,
+)
 from entclone.separability import PPT_TOL, _verdict
 from entclone.states import TRACE_TOL, _check_densities, _two_qubit_stack
 
-from helpers import count_solves, densities, psi_minus, random_density
+from helpers import count_solves, densities, psi_minus, random_density, with_member
 
 
 def _nine_traces(rho):
@@ -229,6 +240,94 @@ def test_concurrence_of_a_reused_decomposition_equals_a_fresh_solve():
                 assert got.tobytes() == expected.tobytes()
 
 
+def _allocating_apply(scheme, rho):
+    # CloneScheme.apply as it built its identity terms on every call
+    if scheme is CloneScheme.PURE:
+        return rho
+    if scheme is CloneScheme.NONLOCAL:
+        return REGISTER_SHRINK * rho + (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
+    rho_a = _partial_trace(rho, (2, 2), "first")
+    rho_b = _partial_trace(rho, (2, 2), "second")
+    eye2 = np.eye(2)
+    a_eye = (rho_a[..., :, None, :, None] * eye2[:, None, :]).reshape(rho.shape)
+    eye_b = (eye2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rho.shape)
+    return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + np.eye(4) / 36.0
+
+
+def _two_dagger_check(m):
+    # _check_densities as it ran before: the finite check up front, dagger formed twice in _eigh,
+    # and the trace check as np.trace and a boolean mask
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        defect = float(np.abs(m - dagger(m)).max())
+        if defect > HERMITIAN_TOL:
+            raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
+        values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
+    values, vectors = values[..., ::-1].copy(), vectors[..., ::-1].copy()
+    if float(values.min()) < -PSD_TOL:
+        raise NotPsdError(f"not positive semidefinite: min eigenvalue = {float(values.min()):.3e}")
+    traces = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        raise BadTraceError(f"trace must be 1, got {traces[off].flat[0].real:.12g}")
+    return SpectralDecomposition(values, vectors)
+
+
+def _allocating_iterate(rhos, scheme, n):
+    # the iterate round as it ran before: the remix summed by four allocating additions onto zeros
+    spectra = _two_dagger_check(rhos)
+    yield rhos, spectra
+    for _ in range(n):
+        weights, vectors = spectra
+        kets = vectors.swapaxes(-1, -2)
+        clones = _allocating_apply(scheme, kets[..., :, None] * kets.conj()[..., None, :])
+        remixed = np.zeros_like(rhos)
+        for k in range(4):
+            remixed = remixed + weights[:, k, None, None] * clones[:, k]
+        assert np.abs(remixed - _allocating_apply(scheme, rhos)).max() <= REMIX_TOL
+        rhos, spectra = remixed, _two_dagger_check(remixed)
+        yield rhos, spectra
+
+
+_ROUND_INPUTS = {
+    "grid": (lambda: psi_minus(np.linspace(0.0, 1.0, _BLOCK + 3)), 3),
+    # the table1 chain: the singlet alone, 64 rounds
+    "singlet-chain": (lambda: psi_minus(np.sqrt([0.5])), 64),
+    "random-full-rank": (lambda: np.array([random_density(np.random.default_rng(90 + k)) for k in range(40)]), 5),
+}
+
+
+@pytest.mark.parametrize("scheme", list(CloneScheme))
+@pytest.mark.parametrize("name", list(_ROUND_INPUTS))
+def test_iterate_round_equals_the_allocating_round(scheme, name):
+    build, n = _ROUND_INPUTS[name]
+    rhos = build()
+    rounds = list(_iterate(rhos, _psd_eigh(rhos), scheme, n))
+    expected = list(_allocating_iterate(rhos, scheme, n))
+    assert len(rounds) == len(expected) == n + 1
+    for (stack, (values, vectors)), (stack0, (values0, vectors0)) in zip(rounds, expected):
+        assert stack.tobytes() == stack0.tobytes()
+        assert values.tobytes() == values0.tobytes()
+        assert vectors.tobytes() == vectors0.tobytes()
+
+
+def test_channels_build_no_identity_per_call(monkeypatch):
+    original = np.eye
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", counting)
+    stack = psi_minus(np.linspace(0.0, 1.0, 5))
+    for scheme in CloneScheme:
+        for rhos in (stack[0], stack[:1], stack):
+            scheme.apply(rhos)
+    assert built == []
+
+
 def _unit_rows(rows):
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
     return rows / np.where(norms > 1e-15, norms, np.inf)
@@ -295,12 +394,6 @@ def test_stacked_bell_builder_equals_its_scalar_calls(alphas, kind):
     assert stacked.tobytes() == np.array(alone).tobytes()
 
 
-def _with_member(member, n=5, at=3):
-    rhos = np.array([random_density(np.random.default_rng(k)) for k in range(n)])
-    rhos[at] = member
-    return rhos
-
-
 _NOT_PSD = np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex)
 _NOT_HERMITIAN = np.eye(4, dtype=complex) / 4
 _NOT_HERMITIAN[0, 1] = 0.1j
@@ -333,7 +426,7 @@ def _concurrence_of_checked(rhos):
 )
 def test_one_bad_member_fails_the_stack_like_the_n1_call(kernel, member, error):
     raised = []
-    for rhos in (member[None], _with_member(member)):
+    for rhos in (member[None], with_member(member)):
         with pytest.raises(error) as info:
             kernel(rhos)
         raised.append(type(info.value))
@@ -366,7 +459,7 @@ def _off_trace(excess):
 def test_density_checks_hold_their_tolerance_edges(tol, member, error, public):
     # half the tolerance passes and twice it raises, alone, through the public
     # linalg function the check guards, and as the last member of a stack
-    paths = [validate_density, lambda m: _check_densities(_with_member(m, n=3, at=2))]
+    paths = [validate_density, lambda m: _check_densities(with_member(m, n=3, at=2))]
     if public is not None:
         paths.append(public)
     for path in paths:
@@ -382,7 +475,7 @@ def test_density_checks_hold_their_tolerance_edges(tol, member, error, public):
 
 def test_correlation_error_names_the_first_entry_of_the_bad_member():
     messages = []
-    for rhos in (_NOT_HERMITIAN[None], _with_member(_NOT_HERMITIAN)):
+    for rhos in (_NOT_HERMITIAN[None], with_member(_NOT_HERMITIAN)):
         with pytest.raises(NotHermitianError) as info:
             _correlations(rhos)
         messages.append(str(info.value))
@@ -403,7 +496,7 @@ def test_stacked_bell_builder_keeps_its_checks():
 @pytest.mark.parametrize("measure", [correlation_matrix, bmax, concurrence, ppt_verdict])
 def test_public_measures_take_one_state_not_a_stack(measure):
     with pytest.raises(BadDimensionError):
-        measure(_with_member(np.eye(4) / 4))
+        measure(with_member(np.eye(4) / 4))
 
 
 @settings(max_examples=60, deadline=None)

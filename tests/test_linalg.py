@@ -11,10 +11,12 @@ from entclone import (
     partial_trace,
     partial_transpose,
     psd_sqrt,
+    validate_density,
 )
-from entclone.linalg import hermiticity_defect
+from entclone.linalg import _eigh, hermiticity_defect
+from entclone.states import _check_densities
 
-from helpers import random_density, random_hermitian
+from helpers import random_density, random_hermitian, with_member
 
 
 def test_dagger_is_conjugate_transpose():
@@ -131,3 +133,51 @@ def test_partial_trace_uneven_dims():
         partial_trace(joint, (3, 3), "first")
     with pytest.raises(ValueError):
         partial_trace(joint, (2, 4), "both")
+
+
+def _maximally_mixed_with(entries):
+    m = np.eye(4, dtype=complex) / 4
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+# each makes the Hermiticity defect NaN or inf, so the finite check that runs on its failure path reports it
+_NON_FINITE = {
+    "nan": {(1, 2): np.nan},
+    "inf-diagonal": {(2, 2): np.inf},
+    "inf-mirrored": {(0, 3): np.inf, (3, 0): np.inf},
+    "imaginary-inf": {(1, 1): complex(0.0, np.inf)},
+}
+
+
+@pytest.mark.parametrize("entries", list(_NON_FINITE.values()), ids=list(_NON_FINITE))
+def test_non_finite_entries_are_reported_ahead_of_hermiticity(entries):
+    bad = _maximally_mixed_with(entries)
+    calls = [(hermitian_eig, bad), (validate_density, bad), (_check_densities, bad[None]),
+             (_eigh, with_member(bad)), (_check_densities, with_member(bad))]
+    for check, m in calls:
+        with pytest.raises(ValueError) as info:
+            check(m)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "matrix has non-finite entries"
+
+
+def test_a_non_finite_member_is_reported_ahead_of_an_earlier_non_hermitian_one():
+    stack = with_member(_maximally_mixed_with(_NON_FINITE["nan"]), at=3)
+    stack[1] = _maximally_mixed_with({(0, 1): 0.1j})
+    for check in (_eigh, _check_densities):
+        with pytest.raises(ValueError) as info:
+            check(stack)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "matrix has non-finite entries"
+    with pytest.raises(NotHermitianError):
+        _check_densities(stack[:3])
+
+
+def test_finite_hermitian_entries_near_the_float_maximum_fail_the_eigensolver():
+    # the defect is 0, so no finite check runs; m + m^dagger overflows and eigh cannot converge
+    huge = np.full((4, 4), 1e308, dtype=complex)
+    for call in (hermitian_eig, validate_density, lambda m: _check_densities(m[None])):
+        with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
+            call(huge)

@@ -49,6 +49,21 @@ def test_ppt_verdict_holds_its_tolerance_edge():
     assert np.allclose(low, [-PPT_TOL / 2, -2 * PPT_TOL], rtol=1e-6, atol=0.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf")])
+def test_ppt_verdict_rejects_a_tolerance_outside_its_range(tol):
+    # unchecked, tol=nan called the singlet separable and tol=-1 called I/4 entangled
+    for rho in (psi_minus(np.sqrt(0.5)), np.eye(4) / 4.0):
+        with pytest.raises(OutOfRangeError, match="^tolerance must be finite and non-negative, got "):
+            ppt_verdict(rho, tol)
+
+
+def test_ppt_verdict_accepts_a_zero_tolerance():
+    assert ppt_verdict(psi_minus(np.sqrt(0.5)), 0.0).entangled
+    verdict = ppt_verdict(np.eye(4) / 4.0, tol=0.0)
+    assert not verdict.entangled
+    assert verdict.tolerance == 0.0
+
+
 # p over [0, 1], and p within 1e-8 of the separability boundary 1/3
 @given(st.floats(0.0, 1.0) | st.floats(-1e-8, 1e-8).map(lambda d: 1.0 / 3.0 + d))
 def test_ppt_agrees_with_concurrence_on_werner_states_outside_the_tolerance_band(p):
