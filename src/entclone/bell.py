@@ -23,6 +23,10 @@ from .states import _two_qubit_stack
 
 UNIT_TOL = 1e-12
 BMAX_RESTARTS = 64  # random starting direction pairs of bmax_numeric
+_BMAX_ITERATIONS = 300
+# bmax_numeric looks for a restart repeating itself every _CYCLE_STRIDE iterations, at periods up to _CYCLE_LAGS
+_CYCLE_STRIDE = 8
+_CYCLE_LAGS = 32
 
 # sigma_i (x) sigma_j observables, shape (3, 3, 4, 4) indexed [i, j]
 _PAULI_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
@@ -32,8 +36,10 @@ def _unit_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise BadDimensionError(f"measurement direction must be a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_TOL:
+    with np.errstate(over="ignore"):  # a norm past the float maximum reads inf and fails below
+        norm = float(np.linalg.norm(v))
+    # written as not <=, so a NaN norm fails too
+    if not abs(norm - 1.0) <= UNIT_TOL:
         raise NotNormalizedError(f"measurement direction must be unit length, got norm {norm:.12g}")
     return v
 
@@ -120,16 +126,32 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
 
     Writes B = a . T(b + b') + a' . T(b' - b) and alternates between the
     optimal (a, a') for fixed (b, b') and vice versa, from BMAX_RESTARTS
-    random starting direction pairs.  Deterministic for fixed seed.
+    random starting direction pairs, for 300 iterations.  Deterministic for
+    fixed seed.
+
+    Each restart's (b, b') evolves on its own, row by row in fixed buffers,
+    so its value after an iteration depends only on its value before.  Once
+    a restart's (b, b') equals, bit for bit, its value some p <= 32
+    iterations earlier, it repeats with period p, and its value at iteration
+    300 is already in the history.  Every 8 iterations the loop looks for such
+    a repeat; when all restarts have one, it stops and takes each restart's
+    iteration-300 value from the history, so the result has the same bits as
+    all 300 iterations.  A restart that never repeats exactly (a NaN never
+    compares equal) runs all 300.
     """
     t = correlation_matrix(rho)
     n = BMAX_RESTARTS
     # b and b' (then a and a') stacked as rows [:n] and [n:], so each half-step is one product;
     # every step writes into buffers made here
-    a, b, s, p, sq = (np.empty((2 * n, 3)) for _ in range(5))
+    a, s, p, sq = (np.empty((2 * n, 3)) for _ in range(4))
     norms = np.empty((2 * n, 1))
-    a_lo, a_hi, b_lo, b_hi, s_lo, s_hi = a[:n], a[n:], b[:n], b[n:], s[:n], s[n:]
+    a_lo, a_hi, s_lo, s_hi = a[:n], a[n:], s[:n], s[n:]
     sq_x, sq_y, sq_z, norm = sq[:, 0], sq[:, 1], sq[:, 2], norms[:, 0]
+    # (b, b') of the last _CYCLE_LAGS iterations and the current one: iteration k in slot k % size;
+    # the NaN of a slot not yet written never compares equal
+    size = _CYCLE_LAGS + 1
+    history = np.full((size, 2 * n, 3), np.nan)
+    halves = [(b[:n], b[n:]) for b in history]
 
     def row_norms(rows):
         # np.linalg.norm(rows, axis=1): add.reduce sums a length-3 axis left to right
@@ -145,15 +167,30 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
         row_norms(rows)
         np.divide(rows, norms if norms.min() > 1e-15 else np.where(norms > 1e-15, norms, np.inf), out=out)
 
-    unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)), b)
-    for _ in range(300):
+    unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)), history[0])
+    b = history[_BMAX_ITERATIONS % size]  # iteration 300's slot, unless the loop stops early
+    for k in range(1, _BMAX_ITERATIONS + 1):
+        b_lo, b_hi = halves[(k - 1) % size]
         np.add(b_lo, b_hi, out=s_lo)
         np.subtract(b_hi, b_lo, out=s_hi)
         unit_rows(np.matmul(s, t.T, out=p), a)
         np.subtract(a_lo, a_hi, out=s_lo)
         np.add(a_lo, a_hi, out=s_hi)
-        unit_rows(np.matmul(s, t, out=p), b)
-    np.add(b_lo, b_hi, out=s_lo)
-    np.subtract(b_hi, b_lo, out=s_hi)
+        unit_rows(np.matmul(s, t, out=p), history[k % size])
+        if k % _CYCLE_STRIDE == 0:
+            # [slot, restart]: both rows of the restart equal their value in that slot; an .all(-1) costs more
+            equal = history == history[k % size]
+            equal = equal[:, :n] & equal[:, n:]
+            equal = equal[..., 0] & equal[..., 1] & equal[..., 2]
+            equal[k % size] = False
+            if equal.any(0).all():
+                # period = lag of the first repeating slot; iteration 300 sits one whole number of periods
+                # back, in [k - period, k)
+                period = (k - equal.argmax(0)) % size
+                slots = (k - period + (_BMAX_ITERATIONS - k) % period) % size
+                b = history[np.tile(slots, 2), np.arange(2 * n)]
+                break
+    np.add(b[:n], b[n:], out=s_lo)
+    np.subtract(b[n:], b[:n], out=s_hi)
     values = row_norms(np.matmul(s, t.T, out=p))
     return float((values[:n] + values[n:]).max())

@@ -68,8 +68,9 @@ def _int_arg(minimum, maximum=None):
 
 
 _alpha_arg = _arg_type(float, "a number", [(lambda v: 0.0 <= v <= 1.0, "alpha must lie in [0, 1]")])
-# v > 0.0 is False for NaN, so a NaN tolerance is a usage error too
-_positive_float = _arg_type(float, "a number", [(lambda v: v > 0.0, "must be positive")])
+# v > 0.0 is False for NaN, so a NaN tolerance is a usage error too; an infinite one would skip the bisection
+_positive_float = _arg_type(float, "a number", [(lambda v: v > 0.0, "must be positive"),
+                                                (lambda v: v < np.inf, "must be finite")])
 
 
 def _build_parser() -> _Parser:

@@ -93,12 +93,14 @@ def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSche
         weights, vectors = spectra
         # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]; the remix check vets eigh's norms
         kets = vectors.swapaxes(-1, -2)
+        # a fresh array for every scheme (PURE returns the projector stack made here), so it is weighted in place
         clones = scheme.apply(kets[..., :, None] * kets.conj()[..., None, :])
-        weighted = weights[:, :, None, None] * clones
-        # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 in one buffer; a .sum over k reorders the additions
-        remixed = weighted[:, 0] + 0.0
+        np.multiply(weights[:, :, None, None], clones, out=clones)
+        # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 in one buffer; a .sum over k reorders the additions,
+        # and the + 0.0 turns an entry that is -0.0 in every term into the +0.0 a sum from zero gives
+        remixed = clones[:, 0] + 0.0
         for k in range(1, 4):
-            remixed += weighted[:, k]
+            remixed += clones[:, k]
         gap = float(np.abs(remixed - scheme.apply(rhos)).max())
         if gap > REMIX_TOL:
             raise RuntimeError(

@@ -91,14 +91,15 @@ def entanglement_interval(
     ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");
     the output is evaluated on the alpha|01> - beta|10> family.  Both
     endpoints are located to within ``tol``, exploiting that the interval is
-    symmetric about 1/2 and contains it.  Raises NoConvergenceError when
-    ``tol`` is below the float spacing at an endpoint, so that the midpoint
-    no longer splits the bracket; a high-endpoint stall is reported only
-    after the low endpoint converges.
+    symmetric about 1/2 and contains it; ``tol`` must be finite and positive,
+    as an infinite one would end the bisection before its first step.  Raises
+    NoConvergenceError when ``tol`` is below the float spacing at an
+    endpoint, so that the midpoint no longer splits the bracket; a
+    high-endpoint stall is reported only after the low endpoint converges.
     """
     scheme = CloneScheme(scheme)
-    if not tol > 0.0:
-        raise OutOfRangeError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
     # [separable_end, entangled_end] of the low and the high endpoint; every round stacks the
     # tree midpoints of each endpoint still walking, and each walks its own tree
     ends, stalls = [[0.0, 0.5], [1.0, 0.5]], [None, None]

@@ -57,8 +57,10 @@ def bell_state(kind: BellKind, alpha) -> np.ndarray:
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| of a normalized pure state (of each state of a stack)."""
     psi = np.asarray(psi, dtype=complex)
-    norms = np.sqrt(np.vecdot(psi, psi).real)
-    off = np.abs(norms - 1.0) > NORM_TOL
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or huge entry gives a norm reported below
+        norms = np.sqrt(np.vecdot(psi, psi).real)
+    # written as not <=, so a NaN norm is off too
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
     if off.any():
         raise NotNormalizedError(f"state norm must be 1, got {norms[off].flat[0]:.12g}")
     return psi[..., :, None] * psi.conj()[..., None, :]

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_correlation_rejects_bad_directions():
 def test_chsh_config_validates_units():
     with pytest.raises(NotNormalizedError):
         ChshConfig(a=2.0 * X, a_prime=X, b=Z, b_prime=Z)
+
+
+@pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0]])
+def test_a_non_finite_or_huge_direction_is_not_unit_length(direction):
+    # abs(norm - 1) > UNIT_TOL is False for a NaN norm: the NaN direction built a config and a nan correlation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalizedError, match="got norm (nan|inf)$"):
+            ChshConfig(a=np.array(direction), a_prime=X, b=Z, b_prime=Z)
+        with pytest.raises(NotNormalizedError, match="got norm (nan|inf)$"):
+            correlation(psi_minus(0.5), Z, np.array(direction))
 
 
 def test_planar_config_geometry():

@@ -172,6 +172,7 @@ def test_sweep_flag_validation(capsys):
         (["analyze", "--input", "s.json", "--seed", "1.5"], "entclone analyze: error: argument --seed: not an integer: '1.5'"),
         (["interval", "--scheme", "pure"],
          "entclone interval: error: argument --scheme: invalid choice: 'pure' (choose from 'local', 'nonlocal')"),
+        (["interval", "--scheme", "local", "--tol", "inf"], "entclone interval: error: argument --tol: must be finite, got inf"),
     ],
 )
 def test_usage_errors_end_in_their_exact_message(argv, message, capsys):

@@ -312,6 +312,25 @@ def test_iterate_round_equals_the_allocating_round(scheme, name):
         assert vectors.tobytes() == vectors0.tobytes()
 
 
+def test_the_remix_sums_from_positive_zero():
+    # a decomposition of diag(0.4, 0.3, 0.2, 0.1) whose signed zeros make entry (0, 1) of all four
+    # weighted projectors -0.0: a sum from +0.0 leaves +0.0 there, a sum from the first term -0.0
+    weights = np.array([0.4, 0.3, 0.2, 0.1])
+    vectors = np.eye(4, dtype=complex)
+    vectors[1, 0] = vectors[0, 1] = complex(-0.0, -0.0)
+    vectors[0, 2:] = complex(-0.0, 0.0)
+    vectors[1, 2:] = complex(0.0, -0.0)
+    kets = vectors.T
+    terms = weights[:, None, None] * (kets[:, :, None] * kets.conj()[:, None, :])
+    assert (terms[:, 0, 1] == 0.0).all() and np.signbit(terms[:, 0, 1].real).all()
+    expected = np.zeros((4, 4), dtype=complex)
+    for term in terms:
+        expected = expected + term
+    rhos = np.diag(weights).astype(complex)[None]
+    _, (remixed, _) = _iterate(rhos, SpectralDecomposition(weights[None], vectors[None]), CloneScheme.PURE, 1)
+    assert remixed[0].tobytes() == expected.tobytes()
+
+
 def test_channels_build_no_identity_per_call(monkeypatch):
     original = np.eye
     built = []
@@ -360,6 +379,12 @@ _BMAX_STATES = {
     "maximally_mixed": np.eye(4, dtype=complex) / 4,
     "psi_minus_0.3": psi_minus(np.sqrt(0.3)),
     **{f"random_{k}": random_density(np.random.default_rng(60 + k)) for k in range(3)},
+    # at seeds 2 and 3 the maximum comes from a restart of period > 1, so it shows which phase
+    # of its cycle stands for iteration 300
+    "random_14": random_density(np.random.default_rng(74)),
+    # T singular values 1, 0.96, 0.96 (then 3/5 of each): no restart repeats exactly within 300 iterations
+    "psi_minus_0.8": psi_minus(0.8),
+    "psi_minus_0.8_shrunk": CloneScheme.NONLOCAL.apply(psi_minus(0.8)),
 }
 
 
@@ -368,6 +393,21 @@ def test_buffered_bmax_numeric_equals_the_allocating_loop(name):
     rho = _BMAX_STATES[name]
     expected = [_allocating_bmax_numeric(rho, seed).hex() for seed in range(4)]
     assert [bmax_numeric(rho, seed).hex() for seed in range(4)] == expected
+
+
+@pytest.mark.parametrize("name, stops_early", [("random_0", True), ("maximally_mixed", True), ("psi_minus_0.8", False)])
+def test_bmax_numeric_stops_once_every_restart_repeats(name, stops_early, monkeypatch):
+    original = np.matmul
+    products = []
+
+    def counting(*args, **kwargs):
+        products.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    bmax_numeric(_BMAX_STATES[name])
+    # two products per iteration and one after the last: 601 unless the loop stopped early
+    assert len(products) < 601 if stops_early else len(products) == 601
 
 
 def _scalar_eof(c):

@@ -146,6 +146,9 @@ def test_interval_argument_checks():
         entanglement_interval("local", tol=0.0)
     with pytest.raises(OutOfRangeError):
         entanglement_interval("local", tol=float("nan"))
+    # an infinite tol ran no bisection step and returned the bracket midpoints [0.25, 0.75]
+    with pytest.raises(OutOfRangeError, match="^tolerance must be finite and positive, got inf$"):
+        entanglement_interval("local", tol=float("inf"))
 
 
 def test_interval_takes_the_enum_or_its_value():

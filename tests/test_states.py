@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ def test_density_from_pure_projector():
 def test_density_from_pure_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
         density_from_pure(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.inf), 1e200])
+def test_density_from_pure_rejects_a_non_finite_or_huge_entry(entry):
+    # a NaN norm passed abs(norm - 1) > NORM_TOL, and NaN or inf entries came out as NaN projectors
+    ket = np.array([entry, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for psi in (ket, np.stack([bell_state(BellKind.PSI_MINUS, 0.6), ket])):
+            with pytest.raises(NotNormalizedError, match="got (nan|inf)$"):
+                density_from_pure(psi)
 
 
 def test_density_from_pure_holds_its_norm_tolerance_edge():
