@@ -20,7 +20,6 @@ from .cloning import (
     QUBIT_SHRINK,
     REGISTER_SHRINK,
     CloneScheme,
-    CloneSequence,
     clone_local,
     clone_nonlocal,
     iterate,
@@ -81,7 +80,6 @@ __all__ = [
     "BellKind",
     "ChshConfig",
     "CloneScheme",
-    "CloneSequence",
     "ConcurrenceResult",
     "NoConvergenceError",
     "NotHermitianError",

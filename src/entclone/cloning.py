@@ -20,8 +20,8 @@ the positive map whose inseparability threshold is 16 alpha beta = 5.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +68,6 @@ class CloneScheme(enum.Enum):
         return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + _QUBIT_PAIR_NOISE
 
 
-@dataclass
-class CloneSequence:
-    """States visited by repeated cloning; states[0] is the input."""
-
-    states: list[np.ndarray]
-    scheme: CloneScheme
-
-
 def clone_nonlocal(rho: np.ndarray) -> np.ndarray:
     """Clone a two-qubit state as a single 4-dimensional register."""
     return CloneScheme.NONLOCAL.apply(_two_qubit_stack(rho)[0][0])
@@ -110,20 +102,21 @@ def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSche
         yield rhos, spectra
 
 
-def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> CloneSequence:
+def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarray]:
     """Clone a state n times, feeding each output back in as the next input.
 
-    A mixed intermediate state is first diagonalized, each eigenvector is
-    cloned separately, and the results are remixed with the eigenvalue
-    weights.  Channel linearity makes this equal to cloning the mixed state
-    directly; both are computed and required to agree within REMIX_TOL, and
-    every output is checked as a density matrix.  ``scheme`` is a
-    CloneScheme or its value ("pure", "local", "nonlocal").
+    Returns the n + 1 states visited, the input first.  A mixed intermediate
+    state is first diagonalized, each eigenvector is cloned separately, and
+    the results are remixed with the eigenvalue weights.  Channel linearity
+    makes this equal to cloning the mixed state directly; both are computed
+    and required to agree within REMIX_TOL, and every output is checked as a
+    density matrix.  ``scheme`` is a CloneScheme or its value ("pure",
+    "local", "nonlocal"); ``n`` is a non-negative integer (not a bool).
     """
     scheme = CloneScheme(scheme)
-    if n < 0:
-        raise OutOfRangeError(f"step count must be non-negative, got {n}")
-    return CloneSequence(states=[rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, n)], scheme=scheme)
+    if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 0:
+        raise OutOfRangeError(f"step count must be a non-negative integer, got {n!r}")
+    return [rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, operator.index(n))]
 
 
 def bell_clone(scheme: CloneScheme, alphas) -> np.ndarray:

@@ -33,15 +33,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Maximum absolute entry of m - m^dagger (over the whole of a stack)."""
-    return _defect(m, dagger(m))
-
-
-def _defect(m: np.ndarray, m_dagger: np.ndarray) -> float:
-    return float(np.abs(m - m_dagger).max())
-
-
 class SpectralDecomposition(NamedTuple):
     """Eigensystem of a Hermitian matrix, eigenvalues descending.
 
@@ -56,6 +47,8 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not m.size:
+        raise BadDimensionError("expected a non-empty matrix, got shape (0, 0)")
     return m
 
 
@@ -77,7 +70,7 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
     # check runs only when the Hermiticity test fails; entries near the float maximum overflow the defect, or fail eigh
     with np.errstate(over="ignore", invalid="ignore"):
         m_dagger = dagger(m)
-        defect = _defect(m, m_dagger)
+        defect = float(np.abs(m - m_dagger).max())
         if not defect <= HERMITIAN_TOL:
             _finite(m)
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")

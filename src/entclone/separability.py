@@ -27,7 +27,6 @@ _TREE_DEPTH = 4
 class SeparabilityVerdict:
     min_pt_eigenvalue: float
     entangled: bool
-    tolerance: float
 
 
 @dataclass
@@ -53,7 +52,7 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     if not 0.0 <= tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol}")
     low, entangled = _verdict(_two_qubit_stack(rho)[0], tol)
-    return SeparabilityVerdict(float(low[0]), bool(entangled[0]), tol)
+    return SeparabilityVerdict(float(low[0]), bool(entangled[0]))
 
 
 def _tree(separable_end: float, entangled_end: float) -> list[float]:

@@ -42,7 +42,7 @@ def _report(number, label, ok, detail=""):
 
 
 def test_c01_singlet_eof_sequence_under_repeated_cloning():
-    states = iterate(psi_minus(ROOT_HALF), CloneScheme.NONLOCAL, 3).states
+    states = iterate(psi_minus(ROOT_HALF), CloneScheme.NONLOCAL, 3)
     values = [entanglement_of_formation(s) for s in states]
     ok = (
         abs(values[0] - 1.0) <= 1e-9
@@ -195,7 +195,7 @@ def test_c10_nonlocal_cloning_preserves_more_entanglement():
 def test_c11_three_rounds_kill_entanglement_for_every_amplitude():
     worst = 0.0
     for alpha in GRID:
-        final = iterate(psi_minus(alpha), CloneScheme.NONLOCAL, 3).states[-1]
+        final = iterate(psi_minus(alpha), CloneScheme.NONLOCAL, 3)[-1]
         worst = max(worst, entanglement_of_formation(final))
     ok = worst <= 1e-12
     _report(11, "three non-local cloning rounds kill entanglement at every amplitude", ok,

@@ -141,6 +141,13 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert len(text.strip().split("\n")) == 6
 
 
+def test_sweep_reports_an_unwritable_out_path(tmp_path, capsys):
+    code, out, err = run_cli(["sweep", "--grid", "3", "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_sweep_flag_validation(capsys):
     assert run_cli(["sweep", "--grid", "1"], capsys)[0] == 1
     assert run_cli(["sweep", "--alpha", "1.5"], capsys)[0] == 1
@@ -290,6 +297,12 @@ def test_interval_flag_validation(capsys):
     assert run_cli(["interval", "--scheme", "local", "--tol", "nan"], capsys)[0] == 1
 
 
+HIGH_STALL_BRACKETS = {
+    "local": "[0.8903123747197558, 0.8903123747197559]",
+    "nonlocal": "[0.971404520732106, 0.9714045207321061]",
+}
+
+
 @pytest.mark.parametrize("scheme", ["local", "nonlocal"])
 def test_interval_tol_below_float_spacing_is_reported(scheme, capsys):
     code, out, err = run_cli(["interval", "--scheme", scheme, "--tol", "1e-30"], capsys)
@@ -297,6 +310,10 @@ def test_interval_tol_below_float_spacing_is_reported(scheme, capsys):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("NoConvergenceError: bisection stalled at alpha^2 bracket [")
+    # the low endpoint converges at 5e-17 and the high one stalls
+    bracket = HIGH_STALL_BRACKETS[scheme]
+    assert run_cli(["interval", "--scheme", scheme, "--tol", "5e-17"], capsys) == (
+        1, "", f"NoConvergenceError: bisection stalled at alpha^2 bracket {bracket}, wider than tol 5e-17\n")
 
 
 @pytest.mark.parametrize("tol", ["1e-14", "1e-12", "1e-10", "1e-8"])

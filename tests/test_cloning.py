@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def test_bell_clone_applies_the_channel_once_then_iterates(scheme):
     alphas = [0.6, 0.0, 1.0]
     rhos = [_bell_density(BellKind.PSI_MINUS, alpha) for alpha in alphas]
     assert np.array_equal(bell_clone(scheme, alphas), [scheme.apply(rho) for rho in rhos])
-    assert np.array_equal(_clone_block(scheme, 2, alphas)[0], [iterate(rho, scheme, 3).states[-1] for rho in rhos])
+    assert np.array_equal(_clone_block(scheme, 2, alphas)[0], [iterate(rho, scheme, 3)[-1] for rho in rhos])
 
 
 def test_clone_nonlocal_is_register_shrink():
@@ -124,10 +126,9 @@ def test_joint_cloner_rejects_odd_dimension():
 
 def test_iterate_keeps_input_first():
     rho = _bell_density(BellKind.PSI_MINUS, 0.6)
-    seq = iterate(rho, CloneScheme.NONLOCAL, 2)
-    assert len(seq.states) == 3
-    assert np.abs(seq.states[0] - rho).max() == 0.0
-    assert seq.scheme is CloneScheme.NONLOCAL
+    states = iterate(rho, CloneScheme.NONLOCAL, 2)
+    assert type(states) is list and len(states) == 3
+    assert np.abs(states[0] - rho).max() == 0.0
 
 
 def test_iterate_matches_closed_form():
@@ -135,8 +136,7 @@ def test_iterate_matches_closed_form():
     rng = np.random.default_rng(24)
     for _ in range(5):
         rho = random_density(rng, 4)
-        seq = iterate(rho, CloneScheme.NONLOCAL, 4)
-        for n, state in enumerate(seq.states):
+        for n, state in enumerate(iterate(rho, CloneScheme.NONLOCAL, 4)):
             f = 0.6 ** n
             expect = f * rho + (1.0 - f) * np.eye(4) / 4.0
             assert np.abs(state - expect).max() < 1e-10
@@ -145,8 +145,7 @@ def test_iterate_matches_closed_form():
 def test_iterate_single_local_step_matches_direct():
     rng = np.random.default_rng(25)
     rho = random_density(rng, 4)
-    seq = iterate(rho, CloneScheme.LOCAL, 1)
-    assert np.abs(seq.states[1] - clone_local(rho)).max() < 1e-10
+    assert np.abs(iterate(rho, CloneScheme.LOCAL, 1)[1] - clone_local(rho)).max() < 1e-10
 
 
 def test_iterate_rejects_negative_count():
@@ -154,11 +153,19 @@ def test_iterate_rejects_negative_count():
         iterate(np.eye(4) / 4.0, CloneScheme.LOCAL, -1)
 
 
+@pytest.mark.parametrize("n, shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'"), (None, "None")])
+def test_iterate_rejects_a_count_that_is_not_an_integer(n, shown):
+    # np.eye(3) is no state: the count is checked first
+    for rho in (np.eye(4) / 4.0, np.eye(3)):
+        with pytest.raises(OutOfRangeError, match=f"^step count must be a non-negative integer, got {re.escape(shown)}$"):
+            iterate(rho, CloneScheme.LOCAL, n)
+    assert len(iterate(np.eye(4) / 4.0, CloneScheme.LOCAL, np.int64(2))) == 3
+
+
 def test_iterate_takes_the_enum_or_its_value():
     rho = _bell_density(BellKind.PSI_MINUS, 0.6)
     by_value, by_member = iterate(rho, "nonlocal", 2), iterate(rho, CloneScheme.NONLOCAL, 2)
-    assert by_value.scheme is CloneScheme.NONLOCAL
-    assert [s.tobytes() for s in by_value.states] == [s.tobytes() for s in by_member.states]
+    assert [s.tobytes() for s in by_value] == [s.tobytes() for s in by_member]
     with pytest.raises(ValueError, match="^'global' is not a valid CloneScheme$"):
         iterate(rho, "global", 2)
 
@@ -182,7 +189,7 @@ def test_public_clones_and_one_iterate_round_match_the_scheme_channel(rho):
     assert np.array_equal(local, CloneScheme.LOCAL.apply(rho))
     assert np.array_equal(nonlocal_, CloneScheme.NONLOCAL.apply(rho))
     for scheme, direct in ((CloneScheme.LOCAL, local), (CloneScheme.NONLOCAL, nonlocal_)):
-        assert np.abs(iterate(rho, scheme, 1).states[1] - direct).max() <= REMIX_TOL
+        assert np.abs(iterate(rho, scheme, 1)[1] - direct).max() <= REMIX_TOL
 
 
 @pytest.mark.parametrize("scheme", [CloneScheme.LOCAL, CloneScheme.NONLOCAL])
@@ -203,7 +210,7 @@ def test_remix_check_holds_its_tolerance_edge(scheme, monkeypatch):
     singlet = stack[0]
     delta["value"] = REMIX_TOL / 2
     assert len(list(_iterate(stack, _psd_eigh(stack), scheme, 2))) == 3
-    assert len(iterate(singlet, scheme, 2).states) == 3
+    assert len(iterate(singlet, scheme, 2)) == 3
     delta["value"] = 2 * REMIX_TOL
     message = "eigenbasis remixing deviates from the direct channel by 2.000e-10"
     with pytest.raises(RuntimeError, match=f"^{message}$"):

@@ -24,6 +24,11 @@ def test_spin_flip_leaves_singlet_alone():
     assert np.abs(spin_flip(rho) - rho).max() < 1e-15
 
 
+def test_spin_flip_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        spin_flip(np.full((4, 4), np.nan))
+
+
 def test_spin_flip_is_an_involution():
     rng = np.random.default_rng(50)
     rho = random_density(rng, 4)
@@ -90,7 +95,7 @@ def test_eof_of_product_state_is_zero():
 
 def test_eof_after_each_cloning_round():
     singlet = psi_minus(np.sqrt(0.5))
-    states = iterate(singlet, CloneScheme.NONLOCAL, 3).states
+    states = iterate(singlet, CloneScheme.NONLOCAL, 3)
     values = [entanglement_of_formation(s) for s in states]
     assert abs(values[0] - 1.0) < 1e-12
     assert abs(values[1] - 0.250224912) < 1e-9

@@ -124,7 +124,7 @@ def test_stacked_iterate_equals_its_per_row_calls(scheme, n, pool, seed):
     picks = np.random.default_rng(seed).integers(len(pool), size=n)
     rhos = np.array([pool[i] for i in picks])
     stacks = list(_iterate(rhos, _psd_eigh(rhos), scheme, 3))
-    alone = [iterate(rho, scheme, 3).states for rho in pool]
+    alone = [iterate(rho, scheme, 3) for rho in pool]
     assert len(stacks) == 4
     for step, (stack, _) in enumerate(stacks):
         assert stack.tobytes() == np.array([alone[i][step] for i in picks]).tobytes()

@@ -13,7 +13,7 @@ from entclone import (
     psd_sqrt,
     validate_density,
 )
-from entclone.linalg import _eigh, hermiticity_defect
+from entclone.linalg import _eigh
 from entclone.states import _check_densities
 
 from helpers import random_density, random_hermitian, with_member
@@ -23,14 +23,6 @@ def test_dagger_is_conjugate_transpose():
     m = np.array([[1.0, 2.0 + 1j], [3.0 - 4j, 5j]])
     assert np.array_equal(dagger(m), m.conj().T)
     assert np.array_equal(dagger(dagger(m)), m)
-
-
-def test_hermiticity_defect():
-    rng = np.random.default_rng(0)
-    h = random_hermitian(rng, 4)
-    assert hermiticity_defect(h) < 1e-15
-    h[0, 1] += 1e-3
-    assert abs(hermiticity_defect(h) - 1e-3) < 1e-12
 
 
 def test_hermitian_eig_reconstructs():
@@ -59,6 +51,13 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_an_empty_matrix_is_a_bad_dimension():
+    empty = np.zeros((0, 0))
+    for call in (validate_density, hermitian_eig, psd_sqrt, lambda m: partial_trace(m, (0, 0), "first")):
+        with pytest.raises(BadDimensionError, match=r"^expected a non-empty matrix, got shape \(0, 0\)$"):
+            call(empty)
+
+
 def test_noconvergence_is_a_runtime_error():
     assert issubclass(NoConvergenceError, RuntimeError)
 
@@ -69,7 +68,7 @@ def test_psd_sqrt_squares_back():
         rho = random_density(rng, 4)
         root = psd_sqrt(rho)
         assert np.abs(root @ root - rho).max() < 1e-12
-        assert hermiticity_defect(root) < 1e-12
+        assert np.abs(root - dagger(root)).max() < 1e-12
 
 
 def test_psd_sqrt_rejects_negative_eigenvalue():

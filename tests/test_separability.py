@@ -61,7 +61,7 @@ def test_ppt_verdict_accepts_a_zero_tolerance():
     assert ppt_verdict(psi_minus(np.sqrt(0.5)), 0.0).entangled
     verdict = ppt_verdict(np.eye(4) / 4.0, tol=0.0)
     assert not verdict.entangled
-    assert verdict.tolerance == 0.0
+    assert verdict.min_pt_eigenvalue == 0.25
 
 
 # p over [0, 1], and p within 1e-8 of the separability boundary 1/3
@@ -181,22 +181,28 @@ def test_interval_endpoints_are_pinned_for_reachable_tolerances(scheme, tol, low
     assert (interval.low, interval.high) == (low, high)
 
 
-# the exact stall messages: the bracket reached is that of one sequential bisection
+# the exact stall messages: the bracket reached is that of one sequential bisection. 5e-17 lies
+# between the float spacings at the two endpoints, so the low endpoint converges and the high one stalls
 STALL_MESSAGES = {
-    "local": "bisection stalled at alpha^2 bracket [0.1096876252802443, 0.10968762528024431], "
-             "wider than tol 1e-30",
-    "nonlocal": "bisection stalled at alpha^2 bracket [0.02859547926789388, 0.028595479267893884], "
-                "wider than tol 1e-30",
+    ("local", 1e-30): "bisection stalled at alpha^2 bracket [0.1096876252802443, 0.10968762528024431], "
+                      "wider than tol 1e-30",
+    ("nonlocal", 1e-30): "bisection stalled at alpha^2 bracket [0.02859547926789388, 0.028595479267893884], "
+                         "wider than tol 1e-30",
+    ("local", 5e-17): "bisection stalled at alpha^2 bracket [0.8903123747197558, 0.8903123747197559], "
+                      "wider than tol 5e-17",
+    ("nonlocal", 5e-17): "bisection stalled at alpha^2 bracket [0.971404520732106, 0.9714045207321061], "
+                         "wider than tol 5e-17",
 }
 
 
 @pytest.mark.parametrize("scheme", ["local", "nonlocal"])
 def test_interval_raises_when_the_midpoint_stops_splitting_the_bracket(scheme):
-    with pytest.raises(NoConvergenceError) as info:
-        entanglement_interval(scheme, tol=1e-30)
-    assert str(info.value) == STALL_MESSAGES[scheme]
-    found = re.search(r"bracket \[(\S+), (\S+)\]", str(info.value))
-    low, high = float(found.group(1)), float(found.group(2))
-    # two adjacent floats at the paper's endpoint, which PPT_TOL moves by ~1e-10
-    assert high == np.nextafter(low, 1.0)
-    assert min(abs(low - x) for x in (LOCAL_LOW, LOCAL_HIGH, NONLOCAL_LOW, NONLOCAL_HIGH)) < 1e-9
+    for tol in (1e-30, 5e-17):
+        with pytest.raises(NoConvergenceError) as info:
+            entanglement_interval(scheme, tol=tol)
+        assert str(info.value) == STALL_MESSAGES[scheme, tol]
+        found = re.search(r"bracket \[(\S+), (\S+)\]", str(info.value))
+        low, high = float(found.group(1)), float(found.group(2))
+        # two adjacent floats at the paper's endpoint, which PPT_TOL moves by ~1e-10
+        assert high == np.nextafter(low, 1.0)
+        assert min(abs(low - x) for x in (LOCAL_LOW, LOCAL_HIGH, NONLOCAL_LOW, NONLOCAL_HIGH)) < 1e-9
