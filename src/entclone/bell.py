@@ -33,7 +33,8 @@ _PAULI_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)  # a read-only copy: a write to the caller's array cannot reach the checked one
+    v.flags.writeable = False
     if v.shape != (3,):
         raise BadDimensionError(f"measurement direction must be a 3-vector, got shape {v.shape}")
     with np.errstate(over="ignore"):  # a norm past the float maximum reads inf and fails below
@@ -44,9 +45,9 @@ def _unit_vector(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChshConfig:
-    """Four unit measurement directions entering the CHSH combination."""
+    """Four unit measurement directions entering the CHSH combination, as read-only copies; equal only to itself."""
 
     a: np.ndarray
     a_prime: np.ndarray
@@ -81,9 +82,9 @@ def correlation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _chsh(t: np.ndarray, cfg: ChshConfig) -> np.ndarray:
-    # (N,) CHSH values from an (N, 3, 3) stack of correlation matrices
-    a, a_prime, b, b_prime = cfg.a, cfg.a_prime, cfg.b, cfg.b_prime
-    return np.abs(a @ t @ b - a_prime @ t @ b + a @ t @ b_prime + a_prime @ t @ b_prime)
+    # (N,) CHSH values from an (N, 3, 3) stack of T; a @ t @ b is (a @ t) @ b, so a @ t and a' @ t are formed once
+    at, a_prime_t = cfg.a @ t, cfg.a_prime @ t
+    return np.abs(at @ cfg.b - a_prime_t @ cfg.b + at @ cfg.b_prime + a_prime_t @ cfg.b_prime)
 
 
 def chsh_value(rho: np.ndarray, cfg: ChshConfig) -> float:

@@ -29,9 +29,9 @@ def _spin_flip(rhos: np.ndarray) -> np.ndarray:
     return _FLIP_SIGNS * rhos.conj()[..., ::-1, ::-1] + 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConcurrenceResult:
-    """Concurrence together with the four lambda values that produced it."""
+    """Concurrence together with the four lambda values that produced it; compares by identity."""
 
     lambdas: np.ndarray
     concurrence: float

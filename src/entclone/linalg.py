@@ -147,6 +147,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     ``keep`` selects the surviving factor, "first" or "second".
     """
     m = _finite(_as_square(m))
-    if m.shape[0] != dims[0] * dims[1]:
+    if min(dims) < 1 or m.shape[0] != dims[0] * dims[1]:  # (-2, -2) has the product 4 too
         raise BadDimensionError(f"matrix of dim {m.shape[0]} does not factor as {dims[0]}x{dims[1]}")
     return _partial_trace(m, dims, keep)

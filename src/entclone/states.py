@@ -47,6 +47,10 @@ def bell_state(kind: BellKind, alpha) -> np.ndarray:
     inside = (0.0 <= alpha) & (alpha <= 1.0)
     if not inside.all():
         raise OutOfRangeError(f"alpha must lie in [0, 1], got {alpha[~inside].flat[0]}")
+    return _bell_ket(kind, alpha)
+
+
+def _bell_ket(kind: BellKind, alpha: np.ndarray) -> np.ndarray:
     psi = np.zeros(alpha.shape + (4,), dtype=complex)
     (i_alpha, i_beta), sign = _BELL_SLOTS[kind]
     psi[..., i_alpha] = alpha
@@ -63,6 +67,10 @@ def density_from_pure(psi: np.ndarray) -> np.ndarray:
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)
     if off.any():
         raise NotNormalizedError(f"state norm must be 1, got {norms[off].flat[0]:.12g}")
+    return _projector(psi)
+
+
+def _projector(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 

@@ -1,4 +1,4 @@
-"""State builders, the eigensolve counter and the child-process environment shared across the test modules."""
+"""State builders, the call counters and the child-process environment shared across the test modules."""
 
 import os
 from pathlib import Path
@@ -56,15 +56,20 @@ def with_member(member, n=5, at=3):
     return rhos
 
 
+def count_calls(monkeypatch, module, names):
+    """Count the calls made from here on to each named function of module, looked up by that name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _function=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def count_solves(monkeypatch):
     """Count the stacked np.linalg.eigh and eigvalsh calls made from here on."""
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counting(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
+    return count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
 
 
 def package_env():

@@ -92,6 +92,25 @@ def test_a_non_finite_or_huge_direction_is_not_unit_length(direction):
             correlation(psi_minus(0.5), Z, np.array(direction))
 
 
+def test_chsh_config_holds_read_only_copies_of_its_directions():
+    a = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
+    cfg = ChshConfig(a=a, a_prime=X, b=Z, b_prime=Z)
+    before = chsh_value(psi_minus(0.6), cfg)
+    a[0] = 5.0
+    assert cfg.a.tolist() == [np.sqrt(0.5), 0.0, np.sqrt(0.5)]
+    assert chsh_value(psi_minus(0.6), cfg) == before
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.b[0] = 5.0
+    assert X.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_chsh_configs_compare_and_hash_by_identity():
+    cfg, twin = planar_pi4_config(), planar_pi4_config()
+    assert cfg == cfg and cfg != twin
+    assert hash(cfg) == hash(cfg)
+    assert len({cfg, twin}) == 2
+
+
 def test_planar_config_geometry():
     cfg = planar_pi4_config()
     for v in (cfg.a, cfg.a_prime, cfg.b, cfg.b_prime):

@@ -41,6 +41,14 @@ def test_concurrence_of_singlet_is_one():
     assert np.allclose(result.lambdas, [1.0, 0.0, 0.0, 0.0], atol=1e-7)
 
 
+def test_concurrence_results_compare_and_hash_by_identity():
+    result, twin = concurrence(psi_minus(0.6)), concurrence(psi_minus(0.6))
+    assert result.lambdas.tobytes() == twin.lambdas.tobytes()
+    assert result == result and result != twin
+    assert hash(result) == hash(result)
+    assert len({result, twin}) == 2
+
+
 def test_concurrence_of_separable_states_is_zero():
     assert concurrence(np.eye(4) / 4.0).concurrence == 0.0
     rng = np.random.default_rng(51)

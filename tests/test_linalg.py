@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,14 @@ def test_partial_trace_recovers_factors():
         joint = np.kron(a, b)
         assert np.abs(partial_trace(joint, (2, 2), "first") - a).max() < 1e-14
         assert np.abs(partial_trace(joint, (2, 2), "second") - b).max() < 1e-14
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4)])
+def test_partial_trace_rejects_non_positive_dims(dims):
+    # (-2, -2) multiplies out to 4, so the factor check alone let it through to a reshape that failed
+    message = f"matrix of dim 4 does not factor as {dims[0]}x{dims[1]}"
+    with pytest.raises(BadDimensionError, match=f"^{re.escape(message)}$"):
+        partial_trace(np.eye(4) / 4, dims, "first")
 
 
 def test_partial_trace_uneven_dims():
