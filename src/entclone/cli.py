@@ -23,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from .bell import _bmax, _chsh, _correlations, bmax_numeric, planar_pi4_config
-from .cloning import CloneScheme, _bell_clone, _iterate
+from .cloning import CloneScheme, _iterate, bell_clone
 from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
 from .linalg import SpectralDecomposition, _psd_eigh
@@ -123,7 +123,7 @@ def _measures(rhos, spectra):
 
 def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> tuple[np.ndarray, SpectralDecomposition]:
     # a sweep block's stack and decomposition: one channel round, or 1 + iterations iterate rounds, keeping the last
-    rhos = _bell_clone(CloneScheme.PURE if iterations else scheme, alphas)
+    rhos = bell_clone(CloneScheme.PURE if iterations else scheme, alphas)
     spectra = _psd_eigh(rhos)
     if iterations:
         rhos, spectra = deque(_iterate(rhos, spectra, scheme, 1 + iterations), maxlen=1).pop()
@@ -158,7 +158,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    singlet = _bell_clone(CloneScheme.PURE, np.array([np.sqrt(0.5)]))
+    singlet = bell_clone(CloneScheme.PURE, [np.sqrt(0.5)])
     stacks, spectra = zip(*_iterate(singlet, _psd_eigh(singlet), CloneScheme.NONLOCAL, args.steps))
     spectra = SpectralDecomposition(*map(np.concatenate, zip(*spectra)))
     print("step eof")

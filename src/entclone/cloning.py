@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import BadDimensionError, OutOfRangeError
 from .linalg import SpectralDecomposition, _partial_trace
-from .states import (BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack, bell_state,
-                     density_from_pure, validate_density)
+from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack, validate_density
 
 QUBIT_SHRINK = 2.0 / 3.0
 REGISTER_SHRINK = 3.0 / 5.0
@@ -121,13 +120,12 @@ def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarr
 
 
 def bell_clone(scheme: CloneScheme, alphas) -> np.ndarray:
-    """Outputs of ``scheme`` on alpha|01> - beta|10>, as an (N, 4, 4) stack over ``alphas``."""
-    return scheme.apply(density_from_pure(bell_state(BellKind.PSI_MINUS, alphas)))
+    """Outputs of ``scheme`` on alpha|01> - beta|10>, as an (N, 4, 4) stack over ``alphas``.
 
-
-def _bell_clone(scheme: CloneScheme, alphas: np.ndarray) -> np.ndarray:
-    # bell_clone unchecked, for a float array the program made in [0, 1], whose kets are within ~1e-16 of norm 1
-    return scheme.apply(_projector(_bell_ket(BellKind.PSI_MINUS, alphas)))
+    Unchecked: for amplitudes the program made in [0, 1], whose kets are
+    within about 1e-16 of norm 1.  Pass others through bell_state first.
+    """
+    return scheme.apply(_projector(_bell_ket(BellKind.PSI_MINUS, np.asarray(alphas, dtype=float))))
 
 
 def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:

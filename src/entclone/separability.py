@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloning import CloneScheme, _bell_clone
+from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
 from .linalg import _transpose_second, dagger
 from .states import _two_qubit_stack
@@ -104,7 +104,7 @@ def entanglement_interval(
     ends, stalls = [[0.0, 0.5], [1.0, 0.5]], [None, None]
     while walking := [k for k in (0, 1) if stalls[k] is None and abs(ends[k][1] - ends[k][0]) > tol]:
         trees = [_tree(*ends[k]) for k in walking]
-        entangled = _verdict(_bell_clone(scheme, np.sqrt(np.concatenate(trees))))[1]
+        entangled = _verdict(bell_clone(scheme, np.sqrt(np.concatenate(trees))))[1]
         for k, mids, flags in zip(walking, trees, entangled.reshape(len(trees), -1)):
             stalls[k] = _walk(ends[k], mids, flags, tol)
         # as in a sequential bisection, a high-endpoint stall is reported only after the low endpoint converges

@@ -60,7 +60,7 @@ def test_pure_scheme_is_the_identity_channel():
 
 @pytest.mark.parametrize("scheme", list(CloneScheme))
 def test_bell_clone_applies_the_channel_once_then_iterates(scheme):
-    alphas = np.array([0.6, 0.0, 1.0])
+    alphas = [0.6, 0.0, 1.0]
     rhos = [_bell_density(BellKind.PSI_MINUS, alpha) for alpha in alphas]
     assert np.array_equal(bell_clone(scheme, alphas), [scheme.apply(rho) for rho in rhos])
     assert np.array_equal(_clone_block(scheme, 2, alphas)[0], [iterate(rho, scheme, 3)[-1] for rho in rhos])

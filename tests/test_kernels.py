@@ -16,7 +16,6 @@ from entclone import (
     BadDimensionError,
     BadTraceError,
     BellKind,
-    ChshConfig,
     CloneScheme,
     NotHermitianError,
     NotNormalizedError,
@@ -43,7 +42,7 @@ import entclone
 from entclone import cli, cloning, separability, states
 from entclone.bell import _PAULI_PAIRS, BMAX_RESTARTS, _bmax, _chsh, _correlations
 from entclone.cli import _BLOCK, _clone_block, main
-from entclone.cloning import REMIX_TOL, _bell_clone, _iterate, bell_clone
+from entclone.cloning import REMIX_TOL, _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof, _spin_flip
 from entclone.linalg import (
     HERMITIAN_TOL,
@@ -205,7 +204,7 @@ def test_stacked_remix_check_is_live(monkeypatch):
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
         iterate(np.eye(4) / 4, CloneScheme.NONLOCAL, 1)
     with pytest.raises(RuntimeError, match="eigenbasis remixing"):
-        _clone_block(CloneScheme.NONLOCAL, 1, np.array([0.0, 0.6, 1.0]))
+        _clone_block(CloneScheme.NONLOCAL, 1, [0.0, 0.6, 1.0])
 
 
 # sigma_y (x) sigma_y, the matrix the spin flip was computed with
@@ -449,18 +448,17 @@ _PROGRAM_ALPHAS = {
 @pytest.mark.parametrize("name", list(_PROGRAM_ALPHAS))
 @settings(max_examples=10, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), max_size=40))
-def test_unchecked_bell_clone_has_the_checked_bytes(scheme, name, drawn):
+def test_bell_clone_has_the_bytes_of_the_checked_builders(scheme, name, drawn):
     alphas = np.concatenate([_PROGRAM_ALPHAS[name], drawn])
     checked = scheme.apply(density_from_pure(bell_state(BellKind.PSI_MINUS, alphas)))
-    assert _bell_clone(scheme, alphas).tobytes() == checked.tobytes()
+    assert bell_clone(scheme, alphas).tobytes() == checked.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [1.5, -0.5, np.nan])
-def test_public_bell_builders_reject_an_amplitude_outside_0_1(alpha):
-    for build in (lambda a: bell_state(BellKind.PSI_MINUS, a), lambda a: bell_clone(CloneScheme.LOCAL, a)):
-        for alphas in (alpha, np.array([0.5, alpha])):
-            with pytest.raises(OutOfRangeError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
-                build(alphas)
+def test_bell_state_rejects_an_amplitude_outside_0_1(alpha):
+    for alphas in (alpha, np.array([0.5, alpha])):
+        with pytest.raises(OutOfRangeError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
+            bell_state(BellKind.PSI_MINUS, alphas)
 
 
 _CHECKED_BUILDERS = ("bell_state", "density_from_pure")
@@ -483,27 +481,6 @@ def test_commands_build_their_bell_states_unchecked(monkeypatch, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert all(count == 0 for counter in counters.values() for count in counter.values())
-    # the counters see a call: the public builder still runs both checks
-    bell_clone(CloneScheme.LOCAL, np.array([0.5]))
-    assert counters["entclone.cloning"] == {"bell_state": 1, "density_from_pure": 1}
-
-
-def _eight_product_chsh(t, cfg):
-    # the CHSH contraction with each of its eight products formed on its own: the reference for _chsh
-    a, a_prime, b, b_prime = cfg.a, cfg.a_prime, cfg.b, cfg.b_prime
-    return np.abs(a @ t @ b - a_prime @ t @ b + a @ t @ b_prime + a_prime @ t @ b_prime)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(densities(), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
-def test_chsh_forms_each_row_vector_once_with_the_bytes_of_eight_products(pool, seed):
-    rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((4, 3))
-    random_cfg = ChshConfig(*(v / np.linalg.norm(v) for v in directions))
-    for rhos in (np.array(pool), _bell_clone(CloneScheme.LOCAL, _PROGRAM_ALPHAS["sweep-grid"])):
-        t = _correlations(rhos)
-        for cfg in (planar_pi4_config(), random_cfg):
-            assert _chsh(t, cfg).tobytes() == _eight_product_chsh(t, cfg).tobytes()
 
 
 _NOT_PSD = np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex)
