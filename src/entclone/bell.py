@@ -17,9 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionError, NotHermitianError, NotNormalizedError
+from .errors import BadDimensionError, NotHermitianError, NotNormalizedError, OutOfRangeError
 from .linalg import HERMITIAN_TOL, PAULIS
 from .states import _two_qubit_stack
+
+__all__ = [
+    "ChshConfig",
+    "PLANAR_PI4",
+    "bmax",
+    "bmax_numeric",
+    "chsh_value",
+    "correlation",
+    "correlation_matrix",
+]
 
 UNIT_TOL = 1e-12
 BMAX_RESTARTS = 64  # random starting direction pairs of bmax_numeric
@@ -92,20 +102,15 @@ def chsh_value(rho: np.ndarray, cfg: ChshConfig) -> float:
     return float(_chsh(correlation_matrix(rho)[None], cfg)[0])
 
 
-def planar_pi4_config() -> ChshConfig:
-    """Coplanar directions at consecutive pi/4 spacing in the x-z plane.
-
-    Ordered b, a, b', a' at angles 0, pi/4, pi/2, 3pi/4 from the z axis; this
-    ordering makes the maximally entangled alpha|01> - beta|10> state reach
-    2 sqrt(2).
-    """
-    r = np.sqrt(0.5)
-    return ChshConfig(
-        a=np.array([r, 0.0, r]),
-        a_prime=np.array([r, 0.0, -r]),
-        b=np.array([0.0, 0.0, 1.0]),
-        b_prime=np.array([1.0, 0.0, 0.0]),
-    )
+# coplanar directions at consecutive pi/4 spacing in the x-z plane, ordered b, a, b', a' at angles 0, pi/4,
+# pi/2, 3pi/4 from the z axis; this ordering makes the maximally entangled alpha|01> - beta|10> state reach
+# 2 sqrt(2). One shared instance: a ChshConfig is frozen and holds read-only copies of its directions
+PLANAR_PI4 = ChshConfig(
+    a=np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)]),
+    a_prime=np.array([np.sqrt(0.5), 0.0, -np.sqrt(0.5)]),
+    b=np.array([0.0, 0.0, 1.0]),
+    b_prime=np.array([1.0, 0.0, 0.0]),
+)
 
 
 def _bmax(t: np.ndarray) -> np.ndarray:
@@ -128,7 +133,7 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     Writes B = a . T(b + b') + a' . T(b' - b) and alternates between the
     optimal (a, a') for fixed (b, b') and vice versa, from BMAX_RESTARTS
     random starting direction pairs, for 300 iterations.  Deterministic for
-    fixed seed.
+    fixed seed, a non-negative integer (not a bool).
 
     Each restart's (b, b') evolves on its own, row by row in fixed buffers,
     so its value after an iteration depends only on its value before.  Once
@@ -140,6 +145,8 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     all 300 iterations.  A restart that never repeats exactly (a NaN never
     compares equal) runs all 300.
     """
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+        raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
     t = correlation_matrix(rho)
     n = BMAX_RESTARTS
     # b and b' (then a and a') stacked as rows [:n] and [n:], so each half-step is one product;

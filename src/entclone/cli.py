@@ -22,7 +22,7 @@ from collections import deque
 
 import numpy as np
 
-from .bell import _bmax, _chsh, _correlations, bmax_numeric, planar_pi4_config
+from .bell import PLANAR_PI4, _bmax, _chsh, _correlations, bmax_numeric
 from .cloning import CloneScheme, _iterate, bell_clone
 from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
@@ -118,7 +118,7 @@ def _measures(rhos, spectra):
     t = _correlations(rhos)
     low, entangled = _verdict(rhos)
     c = _concurrence(rhos, spectra)[1]
-    return t, _chsh(t, _PI4), _bmax(t), c, _eof(c), low, entangled
+    return t, _chsh(t, PLANAR_PI4), _bmax(t), c, _eof(c), low, entangled
 
 
 def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> tuple[np.ndarray, SpectralDecomposition]:
@@ -202,9 +202,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-# built once per process: parse_args keeps no state between calls, and nothing writes to _PI4
+# built once per process: parse_args keeps no state between calls
 _PARSER = _build_parser()
-_PI4 = planar_pi4_config()
 
 
 def main(argv=None) -> int:

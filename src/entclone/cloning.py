@@ -29,6 +29,16 @@ from .errors import BadDimensionError, OutOfRangeError
 from .linalg import SpectralDecomposition, _partial_trace
 from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack, validate_density
 
+__all__ = [
+    "CloneScheme",
+    "QUBIT_SHRINK",
+    "REGISTER_SHRINK",
+    "clone_local",
+    "clone_nonlocal",
+    "iterate",
+    "symmetric_cloner_joint",
+]
+
 QUBIT_SHRINK = 2.0 / 3.0
 REGISTER_SHRINK = 3.0 / 5.0
 

@@ -10,6 +10,14 @@ from .errors import OutOfRangeError
 from .linalg import SpectralDecomposition, _eigh, _finite, _psd_root, require_two_qubit
 from .states import _two_qubit_stack
 
+__all__ = [
+    "ConcurrenceResult",
+    "binary_entropy",
+    "concurrence",
+    "entanglement_of_formation",
+    "spin_flip",
+]
+
 # eigenvalues of sqrt(rho) rho~ sqrt(rho) below this are eigensolver noise;
 # sqrt would amplify ~1e-16 residue to ~1e-8 in the lambdas
 NOISE_FLOOR = 1e-14

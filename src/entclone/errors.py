@@ -1,5 +1,15 @@
 """Exception types raised by state validation and the numeric kernels."""
 
+__all__ = [
+    "BadDimensionError",
+    "BadTraceError",
+    "NoConvergenceError",
+    "NotHermitianError",
+    "NotNormalizedError",
+    "NotPsdError",
+    "OutOfRangeError",
+]
+
 
 class NotHermitianError(ValueError):
     """Matrix deviates from its conjugate transpose beyond tolerance."""

@@ -14,11 +14,25 @@ written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``;
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadDimensionError, NoConvergenceError, NotHermitianError, NotPsdError
+
+__all__ = [
+    "PAULIS",
+    "PAULI_X",
+    "PAULI_Y",
+    "PAULI_Z",
+    "SpectralDecomposition",
+    "dagger",
+    "hermitian_eig",
+    "partial_trace",
+    "partial_transpose",
+    "psd_sqrt",
+]
 
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -144,9 +158,14 @@ def _partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarra
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
     """Trace out one tensor factor of an operator on a dA x dB system.
 
-    ``keep`` selects the surviving factor, "first" or "second".
+    ``keep`` selects the surviving factor, "first" or "second"; ``dims``
+    holds two positive integers.
     """
     m = _finite(_as_square(m))
-    if min(dims) < 1 or m.shape[0] != dims[0] * dims[1]:  # (-2, -2) has the product 4 too
-        raise BadDimensionError(f"matrix of dim {m.shape[0]} does not factor as {dims[0]}x{dims[1]}")
-    return _partial_trace(m, dims, keep)
+    try:
+        da, db = map(operator.index, dims)
+    except (TypeError, ValueError):
+        raise BadDimensionError(f"dims must be two positive integers, got {dims!r}") from None
+    if min(da, db) < 1 or m.shape[0] != da * db:  # (-2, -2) has the product 4 too
+        raise BadDimensionError(f"matrix of dim {m.shape[0]} does not factor as {da}x{db}")
+    return _partial_trace(m, (da, db), keep)

@@ -16,6 +16,13 @@ from .errors import NoConvergenceError, OutOfRangeError
 from .linalg import _transpose_second, dagger
 from .states import _two_qubit_stack
 
+__all__ = [
+    "AlphaSquaredInterval",
+    "SeparabilityVerdict",
+    "entanglement_interval",
+    "ppt_verdict",
+]
+
 # a min PT eigenvalue in [-PPT_TOL, 0) reads separable though concurrence is positive there
 PPT_TOL = 1e-10
 BISECTION_TOL = 1e-8
@@ -47,9 +54,9 @@ def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.nda
 def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     """Classify a two-qubit state by the sign of its minimal PT eigenvalue.
 
-    States with |min eigenvalue| <= tol are reported separable; tol must be finite and >= 0.
+    States with |min eigenvalue| <= tol are reported separable; tol must be finite and >= 0 (not a bool).
     """
-    if not 0.0 <= tol < np.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol}")
     low, entangled = _verdict(_two_qubit_stack(rho)[0], tol)
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]))
@@ -90,14 +97,15 @@ def entanglement_interval(
     ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");
     the output is evaluated on the alpha|01> - beta|10> family.  Both
     endpoints are located to within ``tol``, exploiting that the interval is
-    symmetric about 1/2 and contains it; ``tol`` must be finite and positive,
-    as an infinite one would end the bisection before its first step.  Raises
-    NoConvergenceError when ``tol`` is below the float spacing at an
-    endpoint, so that the midpoint no longer splits the bracket; a
-    high-endpoint stall is reported only after the low endpoint converges.
+    symmetric about 1/2 and contains it; ``tol`` must be finite and positive
+    (not a bool), as an infinite one would end the bisection before its
+    first step.  Raises NoConvergenceError when ``tol`` is below the float
+    spacing at an endpoint, so that the midpoint no longer splits the
+    bracket; a high-endpoint stall is reported only after the low endpoint
+    converges.
     """
     scheme = CloneScheme(scheme)
-    if not 0.0 < tol < np.inf:
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
     # [separable_end, entangled_end] of the low and the high endpoint; every round stacks the
     # tree midpoints of each endpoint still walking, and each walks its own tree

@@ -16,6 +16,17 @@ import numpy as np
 from .errors import BadDimensionError, BadTraceError, NotNormalizedError, OutOfRangeError
 from .linalg import SpectralDecomposition, _as_square, _psd_eigh, require_two_qubit
 
+__all__ = [
+    "BellKind",
+    "bell_state",
+    "density_from_dict",
+    "density_from_pure",
+    "density_to_dict",
+    "load_density",
+    "save_density",
+    "validate_density",
+]
+
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
 

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from entclone import (
+    PLANAR_PI4,
     BellKind,
     CloneScheme,
     bell_state,
@@ -24,7 +25,6 @@ from entclone import (
     entanglement_of_formation,
     hermitian_eig,
     iterate,
-    planar_pi4_config,
     ppt_verdict,
 )
 from entclone.cli import main as cli_main
@@ -90,7 +90,7 @@ def test_c04_clones_never_violate_chsh():
 
 
 def test_c05_pure_state_curves_match_closed_forms():
-    cfg = planar_pi4_config()
+    cfg = PLANAR_PI4
     err = 0.0
     for alpha in GRID:
         beta = np.sqrt(1.0 - alpha * alpha)

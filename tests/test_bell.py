@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from entclone import (
     PAULIS,
+    PLANAR_PI4,
     BadDimensionError,
     ChshConfig,
     NotHermitianError,
     NotNormalizedError,
+    OutOfRangeError,
     bmax,
     bmax_numeric,
     chsh_value,
@@ -19,7 +21,6 @@ from entclone import (
     clone_nonlocal,
     correlation,
     correlation_matrix,
-    planar_pi4_config,
     validate_density,
 )
 from entclone.bell import _correlations
@@ -105,14 +106,15 @@ def test_chsh_config_holds_read_only_copies_of_its_directions():
 
 
 def test_chsh_configs_compare_and_hash_by_identity():
-    cfg, twin = planar_pi4_config(), planar_pi4_config()
+    cfg = PLANAR_PI4
+    twin = ChshConfig(a=cfg.a, a_prime=cfg.a_prime, b=cfg.b, b_prime=cfg.b_prime)
     assert cfg == cfg and cfg != twin
     assert hash(cfg) == hash(cfg)
     assert len({cfg, twin}) == 2
 
 
 def test_planar_config_geometry():
-    cfg = planar_pi4_config()
+    cfg = PLANAR_PI4
     for v in (cfg.a, cfg.a_prime, cfg.b, cfg.b_prime):
         assert abs(np.linalg.norm(v) - 1.0) < 1e-15
         assert v[1] == 0.0
@@ -124,12 +126,12 @@ def test_planar_config_geometry():
 
 
 def test_singlet_reaches_tsirelson_at_planar_config():
-    value = chsh_value(psi_minus(np.sqrt(0.5)), planar_pi4_config())
+    value = chsh_value(psi_minus(np.sqrt(0.5)), PLANAR_PI4)
     assert abs(value - 2.0 * np.sqrt(2.0)) < 1e-12
 
 
 def test_pure_state_closed_forms():
-    cfg = planar_pi4_config()
+    cfg = PLANAR_PI4
     for alpha in np.linspace(0.0, 1.0, 41):
         beta = np.sqrt(1.0 - alpha * alpha)
         rho = psi_minus(alpha)
@@ -140,7 +142,7 @@ def test_pure_state_closed_forms():
 def test_bmax_endpoints():
     assert abs(bmax(psi_minus(0.0)) - 2.0) < 1e-12
     assert abs(bmax(psi_minus(1.0)) - 2.0) < 1e-12
-    assert abs(chsh_value(psi_minus(0.0), planar_pi4_config()) - np.sqrt(2.0)) < 1e-12
+    assert abs(chsh_value(psi_minus(0.0), PLANAR_PI4) - np.sqrt(2.0)) < 1e-12
 
 
 def test_clone_peaks_at_maximal_entanglement():
@@ -168,7 +170,15 @@ def test_bmax_numeric_agrees_on_random_states():
 def test_bmax_numeric_is_deterministic():
     rng = np.random.default_rng(42)
     rho = random_density(rng, 4)
-    assert bmax_numeric(rho, seed=5) == bmax_numeric(rho, seed=5)
+    assert bmax_numeric(rho, seed=5) == bmax_numeric(rho, seed=5) == bmax_numeric(rho, seed=np.int64(5))
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, np.int64(-1), "1", None])
+def test_bmax_numeric_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # unchecked, True ran seed 1, 1.5 escaped as NumPy's TypeError and -1 as its ValueError
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+        bmax_numeric(psi_minus(np.sqrt(0.5)), seed)
 
 
 # bmax_numeric(rho, seed).hex() for seeds 0-3: a reordered iteration or a changed draw shows

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from entclone import (
     PAULI_Y,
     PAULIS,
+    PLANAR_PI4,
     REGISTER_SHRINK,
     BadDimensionError,
     BadTraceError,
@@ -32,7 +33,6 @@ from entclone import (
     entanglement_of_formation,
     hermitian_eig,
     iterate,
-    planar_pi4_config,
     ppt_verdict,
     psd_sqrt,
     save_density,
@@ -76,7 +76,7 @@ def test_public_measures_equal_their_kernels(rho):
     t = correlation_matrix(rho)
     assert t.tobytes() == _nine_traces(rho).tobytes()
     assert t.tobytes() == _correlations(rho[None])[0].tobytes()
-    cfg = planar_pi4_config()
+    cfg = PLANAR_PI4
     assert chsh_value(rho, cfg) == _chsh(t[None], cfg)[0]
     assert bmax(rho) == _bmax(t[None])[0]
     public, (lambdas, c) = concurrence(rho), _concurrence(rho[None], _psd_eigh(rho[None]))
@@ -90,7 +90,7 @@ def test_public_measures_equal_their_kernels(rho):
 
 def _stacked_kernels(rhos):
     # every stacked kernel on one stack; each value has the stack axis first
-    cfg = planar_pi4_config()
+    cfg = PLANAR_PI4
     t = _correlations(rhos)
     values, vectors = _eigh(rhos)
     spectra = _psd_eigh(rhos)

@@ -124,10 +124,14 @@ def test_partial_trace_recovers_factors():
         assert np.abs(partial_trace(joint, (2, 2), "second") - b).max() < 1e-14
 
 
-@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4)])
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4), (2.0, 2.0), (4,), (2, 2, 1)])
 def test_partial_trace_rejects_non_positive_dims(dims):
-    # (-2, -2) multiplies out to 4, so the factor check alone let it through to a reshape that failed
-    message = f"matrix of dim 4 does not factor as {dims[0]}x{dims[1]}"
+    # (-2, -2) multiplies out to 4, so the factor check alone let it through to a reshape that failed;
+    # (2.0, 2.0), (4,) and (2, 2, 1) escaped as TypeError, IndexError and a tuple-unpacking ValueError
+    if len(dims) == 2 and not isinstance(dims[0], float):
+        message = f"matrix of dim 4 does not factor as {dims[0]}x{dims[1]}"
+    else:
+        message = f"dims must be two positive integers, got {dims!r}"
     with pytest.raises(BadDimensionError, match=f"^{re.escape(message)}$"):
         partial_trace(np.eye(4) / 4, dims, "first")
 
@@ -138,6 +142,8 @@ def test_partial_trace_uneven_dims():
     b = random_density(rng, 4)
     joint = np.kron(a, b)
     assert np.abs(partial_trace(joint, (2, 4), "second") - b).max() < 1e-14
+    numpy_dims = (np.int64(2), np.int32(4))
+    assert np.array_equal(partial_trace(joint, numpy_dims, "second"), partial_trace(joint, (2, 4), "second"))
     with pytest.raises(BadDimensionError):
         partial_trace(joint, (3, 3), "first")
     with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
-"""The package namespace: ``__all__`` lists exactly the public names."""
+"""The package namespace: ``__all__`` lists exactly the public names, each declared by the module that defines it."""
 
 import inspect
 
 import entclone
+from entclone import bell, cloning, entanglement, errors, linalg, separability, states
+
+MODULES = (bell, cloning, entanglement, errors, linalg, separability, states)
 
 
 def test_all_lists_exactly_the_public_names():
@@ -12,3 +15,17 @@ def test_all_lists_exactly_the_public_names():
     }
     assert sorted(entclone.__all__) == sorted(public)
     assert len(entclone.__all__) == len(set(entclone.__all__))
+
+
+def test_each_module_declares_the_functions_and_classes_it_defines():
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert value.__module__ == module.__name__, f"{module.__name__}.__all__ lists {name}"
+
+
+def test_the_package_exports_the_union_of_the_module_lists():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names)), "a name is listed by two modules"
+    assert sorted(entclone.__all__) == sorted(names)

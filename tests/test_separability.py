@@ -49,9 +49,9 @@ def test_ppt_verdict_holds_its_tolerance_edge():
     assert np.allclose(low, [-PPT_TOL / 2, -2 * PPT_TOL], rtol=1e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf")])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf"), True, np.True_, False])
 def test_ppt_verdict_rejects_a_tolerance_outside_its_range(tol):
-    # unchecked, tol=nan called the singlet separable and tol=-1 called I/4 entangled
+    # unchecked, tol=nan called the singlet separable, tol=-1 called I/4 entangled and tol=True read as 1.0
     for rho in (psi_minus(np.sqrt(0.5)), np.eye(4) / 4.0):
         with pytest.raises(OutOfRangeError, match="^tolerance must be finite and non-negative, got "):
             ppt_verdict(rho, tol)
@@ -149,6 +149,10 @@ def test_interval_argument_checks():
     # an infinite tol ran no bisection step and returned the bracket midpoints [0.25, 0.75]
     with pytest.raises(OutOfRangeError, match="^tolerance must be finite and positive, got inf$"):
         entanglement_interval("local", tol=float("inf"))
+    # True read as 1.0 and, like inf, returned [0.25, 0.75] without a bisection step
+    for tol in (True, np.True_):
+        with pytest.raises(OutOfRangeError, match="^tolerance must be finite and positive, got True$"):
+            entanglement_interval("nonlocal", tol)
 
 
 def test_interval_takes_the_enum_or_its_value():
