@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _eigh, _finite, _psd_root, require_two_qubit
+from .linalg import SpectralDecomposition, _eigh, _finite, _psd_root, _real, require_two_qubit
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -73,7 +73,7 @@ def _entropy(x: np.ndarray) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """Shannon entropy -x log2 x - (1-x) log2 (1-x), with 0 log 0 = 0."""
-    if not 0.0 <= x <= 1.0:
+    if not _real(x) or not 0.0 <= x <= 1.0:
         raise OutOfRangeError(f"binary entropy argument must lie in [0, 1], got {x}")
     return float(_entropy(np.float64(x)))
 

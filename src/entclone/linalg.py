@@ -14,6 +14,7 @@ written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``;
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import NamedTuple
 
@@ -70,6 +71,11 @@ def _finite(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _real(x) -> bool:
+    # a real scalar other than a bool: NumPy floats and ints pass; a string, None, True and np.True_ do not
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def require_two_qubit(m: np.ndarray) -> np.ndarray:
@@ -163,6 +169,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
     """
     m = _finite(_as_square(m))
     try:
+        if any(isinstance(d, bool) for d in dims):  # an int subclass, so True would read as 1; np.True_ has no index
+            raise TypeError
         da, db = map(operator.index, dims)
     except (TypeError, ValueError):
         raise BadDimensionError(f"dims must be two positive integers, got {dims!r}") from None

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import _transpose_second, dagger
+from .linalg import _real, _transpose_second, dagger
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
 # a min PT eigenvalue in [-PPT_TOL, 0) reads separable though concurrence is positive there
 PPT_TOL = 1e-10
 BISECTION_TOL = 1e-8
-# bisection levels whose midpoints are evaluated as one stack
-_TREE_DEPTH = 4
 
 
 @dataclass
@@ -54,38 +52,35 @@ def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.nda
 def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     """Classify a two-qubit state by the sign of its minimal PT eigenvalue.
 
-    States with |min eigenvalue| <= tol are reported separable; tol must be finite and >= 0 (not a bool).
+    States with |min eigenvalue| <= tol are reported separable; tol must be a finite real >= 0, not a bool.
     """
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < np.inf:
+    if not _real(tol) or not 0.0 <= tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol}")
     low, entangled = _verdict(_two_qubit_stack(rho)[0], tol)
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]))
 
 
-def _tree(separable_end: float, entangled_end: float) -> list[float]:
-    # midpoints of the next _TREE_DEPTH bisection levels in heap order:
-    # node k splits its bracket into 2k + 1 (mid entangled) and 2k + 2 (mid separable)
-    brackets, mids = [(separable_end, entangled_end)], []
-    while len(mids) < 2**_TREE_DEPTH - 1:
-        sep, ent = brackets[len(mids)]
-        mids.append((sep + ent) / 2)
-        brackets += [(sep, mids[-1]), (mids[-1], ent)]
+def _path(ends: list[float], margins: list[float | None], tol: float) -> list[float]:
+    # the midpoints a sequential bisection of ends = [separable_end, entangled_end] visits down to tol if each
+    # falls on the side of a guessed root: the secant root through the ends' PT margins, or an end with none yet
+    (sep, ent), (m_sep, m_ent) = ends, margins
+    guess = sep if m_sep is None else ent if m_ent is None else sep + (ent - sep) * m_sep / (m_sep - m_ent)
+    mids = []
+    while abs(ent - sep) > tol and (mid := (sep + ent) / 2) not in (sep, ent):
+        mids.append(mid)
+        sep, ent = (mid, ent) if (mid < guess) == (sep < ent) else (sep, mid)
     return mids
 
 
-def _walk(ends: list[float], mids: list[float], entangled: np.ndarray, tol: float) -> str | None:
-    # narrows ends = [separable_end, entangled_end] down one tree; returns the stall
-    # message if a midpoint no longer splits the bracket, None otherwise
-    node = 0
-    while node < len(mids) and abs(ends[1] - ends[0]) > tol:
-        mid = mids[node]
-        if mid in ends:
-            low, high = sorted(ends)
-            return f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], wider than tol {tol:g}"
-        if entangled[node]:
-            ends[1], node = mid, 2 * node + 1
-        else:
-            ends[0], node = mid, 2 * node + 2
+def _walk(ends: list[float], margins: list[float | None], path: list[float], verdicts: list, tol: float) -> str | None:
+    # narrows ends by the path's (margin, entangled) verdicts up to and including its first wrong prediction, past
+    # which its midpoints are not the bracket's; returns the stall message if the next midpoint fails to split it
+    for mid, (margin, side) in zip(path, verdicts):
+        if mid != (ends[0] + ends[1]) / 2:
+            break
+        ends[side], margins[side] = mid, margin
+    if abs(ends[1] - ends[0]) > tol and (ends[0] + ends[1]) / 2 in ends:
+        return "bisection stalled at alpha^2 bracket [{!r}, {!r}], wider than tol {:g}".format(*sorted(ends), tol)
     return None
 
 
@@ -97,28 +92,33 @@ def entanglement_interval(
     ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");
     the output is evaluated on the alpha|01> - beta|10> family.  Both
     endpoints are located to within ``tol``, exploiting that the interval is
-    symmetric about 1/2 and contains it; ``tol`` must be finite and positive
-    (not a bool), as an infinite one would end the bisection before its
-    first step.  Raises NoConvergenceError when ``tol`` is below the float
-    spacing at an endpoint, so that the midpoint no longer splits the
-    bracket; a high-endpoint stall is reported only after the low endpoint
-    converges.
+    symmetric about 1/2 and contains it; ``tol`` must be a finite positive
+    real (not a bool), as an infinite one would end the bisection before its
+    first step.  Each stacked PPT test holds, per endpoint still wider than
+    ``tol``, the midpoints a sequential bisection visits down to ``tol`` if
+    each falls on the side of the secant root of the bracket ends' PT
+    margins; the endpoint walks them up to and including the first wrong
+    prediction, so each stack settles at least one level and the brackets
+    are those of one probe per step.  Raises NoConvergenceError when ``tol``
+    is below the float spacing at an endpoint, so that the midpoint no
+    longer splits the bracket; a high-endpoint stall is reported only after
+    the low endpoint converges.
     """
     scheme = CloneScheme(scheme)
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
+    if not _real(tol) or not 0.0 < tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
-    # [separable_end, entangled_end] of the low and the high endpoint; every round stacks the
-    # tree midpoints of each endpoint still walking, and each walks its own tree
-    ends, stalls = [[0.0, 0.5], [1.0, 0.5]], [None, None]
+    # [separable_end, entangled_end] of the low and the high endpoint and their PT margins low + PPT_TOL, once known;
+    # every round stacks the predicted path of each endpoint still walking, and each walks its own path
+    ends, margins, stalls = [[0.0, 0.5], [1.0, 0.5]], [[None, None], [None, None]], [None, None]
     while walking := [k for k in (0, 1) if stalls[k] is None and abs(ends[k][1] - ends[k][0]) > tol]:
-        trees = [_tree(*ends[k]) for k in walking]
-        entangled = _verdict(bell_clone(scheme, np.sqrt(np.concatenate(trees))))[1]
-        for k, mids, flags in zip(walking, trees, entangled.reshape(len(trees), -1)):
-            stalls[k] = _walk(ends[k], mids, flags, tol)
-        # as in a sequential bisection, a high-endpoint stall is reported only after the low endpoint converges
-        if stalls[0] is not None:
-            raise NoConvergenceError(stalls[0])
-    if stalls[1] is not None:
-        raise NoConvergenceError(stalls[1])
-    (low_sep, low_ent), (high_sep, high_ent) = ends
-    return AlphaSquaredInterval(low=(low_sep + low_ent) / 2, high=(high_sep + high_ent) / 2)
+        paths = [_path(ends[k], margins[k], tol) for k in walking]
+        low, entangled = _verdict(bell_clone(scheme, np.sqrt([mid for path in paths for mid in path])))
+        verdicts = list(zip((low + PPT_TOL).tolist(), entangled.tolist()))
+        for k, path in zip(walking, paths):
+            stalls[k] = _walk(ends[k], margins[k], path, verdicts, tol)
+            verdicts = verdicts[len(path):]
+    # as in a sequential bisection, low then high: a high-endpoint stall is reported only if the low endpoint converges
+    for stall in stalls:
+        if stall is not None:
+            raise NoConvergenceError(stall)
+    return AlphaSquaredInterval(*((sep + ent) / 2 for sep, ent in ends))

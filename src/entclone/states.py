@@ -54,6 +54,8 @@ def bell_state(kind: BellKind, alpha) -> np.ndarray:
     with beta = sqrt(1 - alpha^2).  An array of amplitudes gives a stack of
     states of shape (..., 4).
     """
+    if np.asarray(alpha).dtype == bool:  # True would read as 1 and build |01>
+        raise OutOfRangeError(f"alpha must be a real amplitude, not a bool, got {alpha}")
     alpha = np.asarray(alpha, dtype=float)
     inside = (0.0 <= alpha) & (alpha <= 1.0)
     if not inside.all():

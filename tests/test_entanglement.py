@@ -84,10 +84,19 @@ def test_binary_entropy_values():
     assert binary_entropy(1.0) == 0.0
     assert abs(binary_entropy(0.5) - 1.0) < 1e-15
     assert abs(binary_entropy(0.11) - binary_entropy(0.89)) < 1e-15
+    assert binary_entropy(np.float64(0.5)) == binary_entropy(np.float32(0.5)) == binary_entropy(0.5)
+    assert binary_entropy(np.int64(1)) == binary_entropy(1) == 0.0
     with pytest.raises(OutOfRangeError):
         binary_entropy(-0.01)
     with pytest.raises(OutOfRangeError):
         binary_entropy(1.01)
+
+
+@pytest.mark.parametrize("x", [None, "0.5", 0.5j, True, False, np.True_, np.False_, [0.5]])
+def test_binary_entropy_takes_only_a_real_number(x):
+    # unchecked, True read as 1 and returned 0.0, and None or "0.5" escaped as a bare comparison TypeError
+    with pytest.raises(OutOfRangeError, match=r"^binary entropy argument must lie in \[0, 1\], got "):
+        binary_entropy(x)
 
 
 def test_eof_of_singlet_is_one():

@@ -4,6 +4,8 @@ The kernels take (N, 4, 4) stacks; a public measure is the N=1 case, and a
 stack must give every state the bytes it gets alone.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,12 @@ from entclone import (
     PAULIS,
     PLANAR_PI4,
     REGISTER_SHRINK,
+    AlphaSquaredInterval,
     BadDimensionError,
     BadTraceError,
     BellKind,
     CloneScheme,
+    NoConvergenceError,
     NotHermitianError,
     NotNormalizedError,
     NotPsdError,
@@ -55,7 +59,7 @@ from entclone.linalg import (
     _transpose_second,
     dagger,
 )
-from entclone.separability import PPT_TOL, _tree, _verdict
+from entclone.separability import PPT_TOL, _verdict
 from entclone.states import TRACE_TOL, _check_densities, _two_qubit_stack
 
 from helpers import count_calls, count_solves, densities, psi_minus, random_density, with_member
@@ -190,13 +194,101 @@ def test_each_sweep_block_makes_two_eigh_and_two_eigvalsh(scheme, monkeypatch, c
     assert capsys.readouterr().out.count("\n") == 2002
 
 
-@pytest.mark.parametrize("scheme", ["pure", "local", "nonlocal"])
-@pytest.mark.parametrize("tol, stacks", [(0.1, 1), (1e-8, 7), (1e-14, 12)])
+def _sequential_interval(scheme, tol, entangled=None):
+    # entanglement_interval as a plain bisection, one PPT probe per step, the low endpoint and then the high one;
+    # entangled(mid) is the verdict at alpha^2 = mid, by default that of an N=1 stack
+    if entangled is None:
+        def entangled(mid):
+            return bool(_verdict(bell_clone(CloneScheme(scheme), np.sqrt([mid])))[1][0])
+    ends = []
+    for sep, ent in ((0.0, 0.5), (1.0, 0.5)):
+        while abs(ent - sep) > tol:
+            mid = (sep + ent) / 2
+            if mid in (sep, ent):
+                low, high = sorted((sep, ent))
+                message = f"bisection stalled at alpha^2 bracket [{low!r}, {high!r}], wider than tol {tol:g}"
+                raise NoConvergenceError(message)
+            if entangled(mid):
+                ent = mid
+            else:
+                sep = mid
+        ends.append((sep + ent) / 2)
+    return AlphaSquaredInterval(*ends)
+
+
+def _outcome(interval, scheme, tol):
+    # the hex endpoints, or the exact stall message
+    try:
+        found = interval(scheme, tol)
+    except NoConvergenceError as exc:
+        return str(exc)
+    return found.low.hex(), found.high.hex()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(["pure", "local", "nonlocal"]), st.floats(np.log10(1e-18), np.log10(0.6)).map(lambda e: 10.0**e))
+def test_interval_has_the_bits_of_a_sequential_bisection(scheme, tol):
+    assert _outcome(entanglement_interval, scheme, tol) == _outcome(_sequential_interval, scheme, tol)
+
+
+@pytest.mark.parametrize(
+    "scheme, tol, stacks",
+    [("pure", 0.1, 1), ("pure", 1e-8, 1), ("pure", 1e-14, 1), ("local", 0.1, 1), ("local", 1e-8, 4),
+     ("local", 1e-14, 5), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 4), ("nonlocal", 1e-14, 5)],
+)
 def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monkeypatch):
-    # one stacked PPT solve per _TREE_DEPTH bisection levels holds both endpoints' midpoints
+    # one stacked PPT solve holds both endpoints' predicted paths; pure is entangled at every midpoint
+    # of its paths, which predict just that, so it settles in one stack
     calls = count_solves(monkeypatch)
     entanglement_interval(scheme, tol)
     assert calls == {"eigh": 0, "eigvalsh": stacks}
+
+
+def test_interval_stacks_over_the_bench_tolerances(monkeypatch):
+    # the 17 tolerances of the single-state benchmark's interval ops (1e-14, 3e-14, ..., 3e-7, 1e-6), local and
+    # non-local
+    calls = count_solves(monkeypatch)
+    for scheme in ("local", "nonlocal"):
+        for tol in [float(f"{m}e-{e}") for e in range(14, 6, -1) for m in (1, 3)] + [1e-6]:
+            entanglement_interval(scheme, tol)
+    assert calls == {"eigh": 0, "eigvalsh": 146}
+
+
+@pytest.mark.parametrize("tol", [0.3, 0.1, 1e-6, 1e-14])
+def test_interval_progresses_when_every_prediction_is_wrong(tol, monkeypatch):
+    # a verdict contradicting each prediction a path makes: the walk settles one level per stack, the
+    # bracket of a sequential bisection under the same verdicts
+    paths, verdicts, stacks = [], {}, []
+
+    def recording_path(ends, margins, tol):
+        path = separability_path(ends, margins, tol)
+        paths.append((ends[0] < ends[1], path))
+        return path
+
+    def contrary(rhos, tol=PPT_TOL):
+        flags = []
+        for rising, path in paths:
+            # a path predicts mid entangled when its next midpoint lies on the separable side of mid
+            flags += [(after < mid) != rising for mid, after in zip(path, path[1:])] + [False]
+            verdicts.update(zip(path, flags[-len(path):]))
+        paths.clear()
+        stacks.append(len(flags))
+        assert len(stacks) < 64, "the walk stopped settling bisection levels"
+        flags = np.array(flags)
+        return np.where(flags, -1.0, 1.0), flags
+
+    separability_path = separability._path
+    monkeypatch.setattr(separability, "_path", recording_path)
+    monkeypatch.setattr(separability, "_verdict", contrary)
+    interval, probes = entanglement_interval("local", tol), []
+
+    def recorded(mid):
+        probes.append(mid)
+        return verdicts[mid]
+
+    expected = _sequential_interval("local", tol, recorded)
+    assert (interval.low.hex(), interval.high.hex()) == (expected.low.hex(), expected.high.hex())
+    assert len(stacks) <= max(sum(mid < 0.5 for mid in probes), sum(mid > 0.5 for mid in probes))
 
 
 def test_stacked_remix_check_is_live(monkeypatch):
@@ -435,11 +527,24 @@ def test_stacked_bell_builder_equals_its_scalar_calls(alphas, kind):
     assert stacked.tobytes() == np.array(alone).tobytes()
 
 
-# amplitudes the program builds Bell states from: the default sweep grid, the 30 midpoints of a first
-# interval stack (both endpoints' trees), and the product and maximally entangled edges
+def _first_interval_stack(tol):
+    # the amplitudes of the first stack entanglement_interval clones: both endpoints' predicted paths
+    stacks = []
+
+    def recording(scheme, alphas):
+        stacks.append(alphas)
+        return bell_clone(scheme, alphas)
+
+    with mock.patch.object(separability, "bell_clone", recording):
+        entanglement_interval("local", tol)
+    return stacks[0]
+
+
+# amplitudes the program builds Bell states from: the default sweep grid, the first interval stack
+# at the finest tolerance that converges, and the product and maximally entangled edges
 _PROGRAM_ALPHAS = {
     "sweep-grid": np.linspace(0.0, 1.0, 201),
-    "interval-stack": np.sqrt(np.concatenate([_tree(0.0, 0.5), _tree(1.0, 0.5)])),
+    "interval-stack": _first_interval_stack(1e-14),
     "edges": np.array([0.0, 1.0, np.sqrt(0.5)]),
 }
 

@@ -136,6 +136,14 @@ def test_partial_trace_rejects_non_positive_dims(dims):
         partial_trace(np.eye(4) / 4, dims, "first")
 
 
+@pytest.mark.parametrize("dims", [(True, 4), (4, True), (np.True_, 4), (True, True)])
+def test_partial_trace_rejects_bool_dims(dims):
+    # unchecked, (True, 4) read as (1, 4) and returned [[1]]
+    message = f"dims must be two positive integers, got {dims!r}"
+    with pytest.raises(BadDimensionError, match=f"^{re.escape(message)}$"):
+        partial_trace(np.eye(4) / 4, dims, "first")
+
+
 def test_partial_trace_uneven_dims():
     rng = np.random.default_rng(6)
     a = random_density(rng, 2)

@@ -49,9 +49,12 @@ def test_ppt_verdict_holds_its_tolerance_edge():
     assert np.allclose(low, [-PPT_TOL / 2, -2 * PPT_TOL], rtol=1e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf"), True, np.True_, False])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf"), True, np.True_, False, "0.1", None, 1j, [0.1]]
+)
 def test_ppt_verdict_rejects_a_tolerance_outside_its_range(tol):
-    # unchecked, tol=nan called the singlet separable, tol=-1 called I/4 entangled and tol=True read as 1.0
+    # unchecked, tol=nan called the singlet separable, tol=-1 called I/4 entangled and tol=True read as 1.0;
+    # a string, None, a complex and a list escaped as a bare comparison TypeError
     for rho in (psi_minus(np.sqrt(0.5)), np.eye(4) / 4.0):
         with pytest.raises(OutOfRangeError, match="^tolerance must be finite and non-negative, got "):
             ppt_verdict(rho, tol)
@@ -59,6 +62,8 @@ def test_ppt_verdict_rejects_a_tolerance_outside_its_range(tol):
 
 def test_ppt_verdict_accepts_a_zero_tolerance():
     assert ppt_verdict(psi_minus(np.sqrt(0.5)), 0.0).entangled
+    for tol in (0, np.int64(0), np.float64(0.0), np.float32(0.0)):
+        assert not ppt_verdict(np.eye(4) / 4.0, tol).entangled
     verdict = ppt_verdict(np.eye(4) / 4.0, tol=0.0)
     assert not verdict.entangled
     assert verdict.min_pt_eigenvalue == 0.25
@@ -153,6 +158,16 @@ def test_interval_argument_checks():
     for tol in (True, np.True_):
         with pytest.raises(OutOfRangeError, match="^tolerance must be finite and positive, got True$"):
             entanglement_interval("nonlocal", tol)
+    # a string, None and a complex escaped as a bare comparison TypeError
+    for tol in ("0.1", None, 0.1j):
+        with pytest.raises(OutOfRangeError, match=f"^tolerance must be finite and positive, got {tol}$"):
+            entanglement_interval("local", tol)
+
+
+def test_interval_takes_numpy_tolerances():
+    for tol in (np.float64(0.1), np.float32(0.1)):
+        assert entanglement_interval("local", tol) == entanglement_interval("local", float(tol))
+    assert entanglement_interval("pure", np.int64(1)) == entanglement_interval("pure", 1)
 
 
 def test_interval_takes_the_enum_or_its_value():

@@ -54,6 +54,13 @@ def test_bell_state_alpha_bounds():
         bell_state(BellKind.PSI_MINUS, 1.01)
 
 
+@pytest.mark.parametrize("alpha", [True, False, np.True_, np.array([True, False]), [False]])
+def test_bell_state_rejects_a_bool_amplitude(alpha):
+    # unchecked, True read as 1 and PSI_MINUS built |01>
+    with pytest.raises(OutOfRangeError, match="^alpha must be a real amplitude, not a bool, got "):
+        bell_state(BellKind.PSI_MINUS, alpha)
+
+
 def test_density_from_pure_projector():
     psi = bell_state(BellKind.PSI_MINUS, 0.6)
     rho = density_from_pure(psi)
