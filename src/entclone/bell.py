@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError, OutOfRangeError
-from .linalg import HERMITIAN_TOL, PAULIS
+from .linalg import HERMITIAN_TOL, PAULIS, _count, _numeric
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "bmax",
     "bmax_numeric",
     "chsh_value",
-    "correlation",
     "correlation_matrix",
 ]
 
@@ -43,7 +42,8 @@ _PAULI_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
-    v = np.array(v, dtype=float)  # a read-only copy: a write to the caller's array cannot reach the checked one
+    # a read-only copy: a write to the caller's array cannot reach the checked one
+    v = np.array(_numeric(v, "measurement direction must be real", real=True), dtype=float)
     v.flags.writeable = False
     if v.shape != (3,):
         raise BadDimensionError(f"measurement direction must be a 3-vector, got shape {v.shape}")
@@ -85,12 +85,6 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     return _correlations(_two_qubit_stack(rho)[0])[0]
 
 
-def correlation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Spin correlation E(a, b) = a . T b."""
-    a, b = _unit_vector(a), _unit_vector(b)
-    return float(a @ correlation_matrix(rho) @ b)
-
-
 def _chsh(t: np.ndarray, cfg: ChshConfig) -> np.ndarray:
     # (N,) CHSH values from an (N, 3, 3) stack of T; a @ t @ b is (a @ t) @ b, so a @ t and a' @ t are formed once
     at, a_prime_t = cfg.a @ t, cfg.a_prime @ t
@@ -99,6 +93,8 @@ def _chsh(t: np.ndarray, cfg: ChshConfig) -> np.ndarray:
 
 def chsh_value(rho: np.ndarray, cfg: ChshConfig) -> float:
     """CHSH quantity B for an explicit set of measurement directions."""
+    if not isinstance(cfg, ChshConfig):
+        raise OutOfRangeError(f"cfg must be a ChshConfig, got {cfg!r}")
     return float(_chsh(correlation_matrix(rho)[None], cfg)[0])
 
 
@@ -145,7 +141,7 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     all 300 iterations.  A restart that never repeats exactly (a NaN never
     compares equal) runs all 300.
     """
-    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+    if not _count(seed):
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
     t = correlation_matrix(rho)
     n = BMAX_RESTARTS

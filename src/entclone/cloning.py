@@ -20,14 +20,13 @@ the positive map whose inseparability threshold is 16 alpha beta = 5.
 from __future__ import annotations
 
 import enum
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import BadDimensionError, OutOfRangeError
-from .linalg import SpectralDecomposition, _partial_trace
-from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack, validate_density
+from .errors import OutOfRangeError
+from .linalg import SpectralDecomposition, _count, _partial_trace
+from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack
 
 __all__ = [
     "CloneScheme",
@@ -36,7 +35,6 @@ __all__ = [
     "clone_local",
     "clone_nonlocal",
     "iterate",
-    "symmetric_cloner_joint",
 ]
 
 QUBIT_SHRINK = 2.0 / 3.0
@@ -124,9 +122,9 @@ def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarr
     "local", "nonlocal"); ``n`` is a non-negative integer (not a bool).
     """
     scheme = CloneScheme(scheme)
-    if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 0:
+    if not _count(n):
         raise OutOfRangeError(f"step count must be a non-negative integer, got {n!r}")
-    return [rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, operator.index(n))]
+    return [rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, n)]
 
 
 def bell_clone(scheme: CloneScheme, alphas) -> np.ndarray:
@@ -137,18 +135,3 @@ def bell_clone(scheme: CloneScheme, alphas) -> np.ndarray:
     """
     return scheme.apply(_projector(_bell_ket(BellKind.PSI_MINUS, np.asarray(alphas, dtype=float))))
 
-
-def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
-    """Joint state of both clones produced by the optimal symmetric cloner.
-
-    For a d-dimensional input the output is (2/(d+1)) S (rho (x) I) S with S
-    the projector onto the symmetric subspace; tracing out either clone gives
-    eta rho + (1 - eta) I/d with eta = (d+2)/(2(d+1)).
-    """
-    rho = validate_density(rho)
-    d = rho.shape[0]
-    if d not in (2, 4):
-        raise BadDimensionError(f"supported clone dimensions are 2 and 4, got {d}")
-    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
-    sym = (np.eye(d * d) + swap) / 2
-    return (2.0 / (d + 1)) * sym @ np.kron(rho, np.eye(d)) @ sym

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _eigh, _finite, _psd_root, _real, require_two_qubit
+from .linalg import SpectralDecomposition, _as_square, _eigh, _finite, _psd_root, _real, _require_two_qubit
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -29,7 +29,7 @@ _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
     """Spin-flipped state (sigma_y (x) sigma_y) rho* (sigma_y (x) sigma_y)."""
-    return _spin_flip(_finite(require_two_qubit(np.asarray(rho, dtype=complex))))
+    return _spin_flip(_finite(_require_two_qubit(_as_square(rho))))
 
 
 def _spin_flip(rhos: np.ndarray) -> np.ndarray:

@@ -1,4 +1,12 @@
-"""Exception types raised by state validation and the numeric kernels."""
+"""Exception types raised by state validation and the numeric kernels.
+
+The contract of every public function and class: a rejected argument raises ValueError (one of these errors, or a
+plain ValueError for non-finite matrix entries, a state file that cannot be read, written or parsed, an unknown
+``keep``, CloneScheme or BellKind value, or an input NumPy cannot shape into the array needed), so one
+``except ValueError`` catches every bad argument; a computation that fails on accepted arguments raises RuntimeError
+(NoConvergenceError, or iterate's remix check).  No call raises TypeError, KeyError, IndexError or AttributeError or
+emits a NumPy warning, and none parses a string or casts a bool or a complex number where a real is expected.
+"""
 
 __all__ = [
     "BadDimensionError",
@@ -32,7 +40,7 @@ class NotNormalizedError(ValueError):
 
 
 class OutOfRangeError(ValueError):
-    """Scalar parameter lies outside its admissible interval."""
+    """Parameter lies outside its admissible interval, or is not of the kind of number it must be."""
 
 
 class NoConvergenceError(RuntimeError):

@@ -20,15 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadDimensionError, NoConvergenceError, NotHermitianError, NotPsdError
+from .errors import BadDimensionError, NoConvergenceError, NotHermitianError, NotPsdError, OutOfRangeError
 
 __all__ = [
     "PAULIS",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "SpectralDecomposition",
-    "dagger",
     "hermitian_eig",
     "partial_trace",
     "partial_transpose",
@@ -38,13 +34,12 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_x, sigma_y, sigma_z
+PAULIS = tuple(np.array(s, dtype=complex) for s in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose (of each matrix of a stack)."""
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    # conjugate transpose of each matrix of a stack
     return np.swapaxes(m.conj(), -1, -2)
 
 
@@ -58,8 +53,21 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+_KIND_NAMES = {"b": "a bool", "c": "a complex number", "O": "an object", "S": "a string", "U": "a string"}
+
+
+def _numeric(x, what: str, real: bool = False) -> np.ndarray:
+    # x as an array, or OutOfRangeError unless it holds ints or floats (or complex numbers, unless real), so no bool,
+    # string, None or other object is parsed or cast into a number; one entry is shown, as an array prints on many lines
+    a = np.asarray(x)
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
+        shown = repr(a.item(0)) if a.size else "an empty array"
+        raise OutOfRangeError(f"{what}, not {_KIND_NAMES.get(a.dtype.kind, a.dtype.name)}, got {shown}")
+    return a
+
+
 def _as_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(_numeric(m, "matrix entries must be numbers"), dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
     if not m.size:
@@ -74,12 +82,17 @@ def _finite(m: np.ndarray) -> np.ndarray:
 
 
 def _real(x) -> bool:
-    # a real scalar other than a bool: NumPy floats and ints pass; a string, None, True and np.True_ do not
+    # a real scalar other than a bool: NumPy floats and ints pass; a string, None, True, np.True_ and a 0-d array do not
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def require_two_qubit(m: np.ndarray) -> np.ndarray:
-    """Return m unchanged if it is a 4x4 two-qubit operator; else raise BadDimensionError."""
+def _count(n) -> bool:
+    # a non-negative integer other than a bool: NumPy ints pass; a float, a string, None, True and a 0-d array do not
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0
+
+
+def _require_two_qubit(m: np.ndarray) -> np.ndarray:
+    # m unchanged if it is a 4x4 two-qubit operator, else BadDimensionError
     if m.shape != (4, 4):
         raise BadDimensionError(f"expected a 4x4 two-qubit operator, got shape {m.shape}")
     return m
@@ -89,7 +102,7 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
     # hermitian_eig of each matrix of a stack. Every non-finite entry makes the defect NaN or inf, so the finite
     # check runs only when the Hermiticity test fails; entries near the float maximum overflow the defect, or fail eigh
     with np.errstate(over="ignore", invalid="ignore"):
-        m_dagger = dagger(m)
+        m_dagger = _dagger(m)
         defect = float(np.abs(m - m_dagger).max())
         if not defect <= HERMITIAN_TOL:
             _finite(m)
@@ -122,8 +135,8 @@ def _psd_eigh(m: np.ndarray) -> SpectralDecomposition:
 def _psd_root(decomposition: SpectralDecomposition) -> np.ndarray:
     # psd_sqrt of each matrix of a stack, from its _psd_eigh decomposition
     values, vectors = decomposition
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ dagger(vectors)
-    return (root + dagger(root)) / 2
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ _dagger(vectors)
+    return (root + _dagger(root)) / 2
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -147,7 +160,7 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     input.  The map is an exact entry permutation, hence involutive and
     trace preserving.
     """
-    return _transpose_second(_finite(require_two_qubit(np.asarray(m, dtype=complex))))
+    return _transpose_second(_finite(_require_two_qubit(_as_square(m))))
 
 
 def _partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

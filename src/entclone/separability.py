@@ -13,7 +13,7 @@ import numpy as np
 
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import _real, _transpose_second, dagger
+from .linalg import _dagger, _real, _transpose_second
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -45,7 +45,7 @@ class AlphaSquaredInterval:
 def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.ndarray]:
     # unchecked kernel of ppt_verdict: (N,) minimal PT eigenvalues and entangled flags
     pt = _transpose_second(rhos)
-    low = np.linalg.eigvalsh((pt + dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
+    low = np.linalg.eigvalsh((pt + _dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
     return low, low < -tol
 
 

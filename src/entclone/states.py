@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadDimensionError, BadTraceError, NotNormalizedError, OutOfRangeError
-from .linalg import SpectralDecomposition, _as_square, _psd_eigh, require_two_qubit
+from .linalg import SpectralDecomposition, _as_square, _numeric, _psd_eigh, _require_two_qubit
 
 __all__ = [
     "BellKind",
@@ -47,16 +47,16 @@ _BELL_SLOTS = {
 }
 
 
-def bell_state(kind: BellKind, alpha) -> np.ndarray:
+def bell_state(kind: BellKind | str, alpha) -> np.ndarray:
     """Bell-basis pure state with amplitude alpha.
 
     PSI states are alpha|01> +/- beta|10>, PHI states alpha|00> +/- beta|11>,
-    with beta = sqrt(1 - alpha^2).  An array of amplitudes gives a stack of
-    states of shape (..., 4).
+    with beta = sqrt(1 - alpha^2).  ``kind`` is a BellKind or its value
+    ("psi_minus", ...).  An array of amplitudes gives a stack of states of
+    shape (..., 4).
     """
-    if np.asarray(alpha).dtype == bool:  # True would read as 1 and build |01>
-        raise OutOfRangeError(f"alpha must be a real amplitude, not a bool, got {alpha}")
-    alpha = np.asarray(alpha, dtype=float)
+    kind = BellKind(kind)
+    alpha = np.asarray(_numeric(alpha, "alpha must be a real amplitude", real=True), dtype=float)
     inside = (0.0 <= alpha) & (alpha <= 1.0)
     if not inside.all():
         raise OutOfRangeError(f"alpha must lie in [0, 1], got {alpha[~inside].flat[0]}")
@@ -73,7 +73,7 @@ def _bell_ket(kind: BellKind, alpha: np.ndarray) -> np.ndarray:
 
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| of a normalized pure state (of each state of a stack)."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = np.asarray(_numeric(psi, "ket entries must be numbers"), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or huge entry gives a norm reported below
         norms = np.sqrt(np.vecdot(psi, psi).real)
     # written as not <=, so a NaN norm is off too
@@ -113,17 +113,13 @@ def _two_qubit_stack(m: np.ndarray) -> tuple[np.ndarray, SpectralDecomposition]:
     # validate_density, then BadDimensionError unless 4x4: m as a (1, 4, 4) stack and its checked decomposition
     m = _as_square(m)
     spectra = _check_densities(m[None])
-    return require_two_qubit(m)[None], spectra
+    return _require_two_qubit(m)[None], spectra
 
 
 def density_to_dict(rho: np.ndarray) -> dict:
-    """JSON-ready payload {"dim": d, "re": [[...]], "im": [[...]]}, row-major."""
-    rho = np.asarray(rho, dtype=complex)
-    return {
-        "dim": rho.shape[0],
-        "re": rho.real.tolist(),
-        "im": rho.imag.tolist(),
-    }
+    """JSON-ready payload {"dim": d, "re": [[...]], "im": [[...]]}, row-major, of a square matrix, state or not."""
+    rho = _as_square(rho)
+    return {"dim": rho.shape[0], "re": rho.real.tolist(), "im": rho.imag.tolist()}
 
 
 def density_from_dict(data: dict) -> np.ndarray:
@@ -132,25 +128,29 @@ def density_from_dict(data: dict) -> np.ndarray:
 
 
 def _parse_density(data: dict) -> np.ndarray:
+    if not isinstance(data, dict):
+        raise ValueError("state file must hold a JSON object")
     try:
         dim = data["dim"]
         # bool is a subclass of int, so JSON true would otherwise read as 1
         if isinstance(dim, bool) or not isinstance(dim, int):
             raise TypeError(f"dim must be a JSON integer, got {dim!r}")
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data["im"], dtype=float)
+        re, im = (np.array(_numeric(data[part], f"{part} must hold real numbers", real=True), dtype=float)
+                  for part in ("re", "im"))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed density payload: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise BadDimensionError(
-            f"payload arrays must be {dim}x{dim}, got re {re.shape} and im {im.shape}"
-        )
+        raise BadDimensionError(f"payload arrays must be {dim}x{dim}, got re {re.shape} and im {im.shape}")
     with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, which the density check reports
         return re + 1j * im
 
 
 def save_density(path: str | Path, rho: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(density_to_dict(rho)) + "\n")
+    """Write density_to_dict(rho) to path as one line of JSON."""
+    try:
+        Path(path).write_text(json.dumps(density_to_dict(rho)) + "\n")
+    except (OSError, TypeError) as exc:
+        raise ValueError(f"cannot write state file: {exc}") from exc
 
 
 def load_density(path: str | Path) -> np.ndarray:
@@ -161,12 +161,10 @@ def load_density(path: str | Path) -> np.ndarray:
 def _read_density(path: str | Path) -> np.ndarray:
     try:
         data = json.loads(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise ValueError(f"cannot read state file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError("state file nests JSON too deeply to parse") from exc
-    if not isinstance(data, dict):
-        raise ValueError("state file must hold a JSON object")
     return _parse_density(data)

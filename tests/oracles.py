@@ -6,8 +6,8 @@ checks; nothing in the package or its command line calls them.
 
 import numpy as np
 
-from entclone import OutOfRangeError, validate_density
-from entclone.linalg import require_two_qubit
+from entclone import BadDimensionError, OutOfRangeError, validate_density
+from entclone.linalg import _require_two_qubit
 
 X_SHAPE_TOL = 1e-12
 
@@ -28,6 +28,23 @@ def shrink_channel(rho: np.ndarray, eta: float) -> np.ndarray:
     return eta * rho + (1.0 - eta) * np.eye(d) / d
 
 
+def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
+    """Joint state of both clones produced by the optimal symmetric cloner.
+
+    For a d-dimensional input the output is (2/(d+1)) S (rho (x) I) S with S
+    the projector onto the symmetric subspace; tracing out either clone gives
+    eta rho + (1 - eta) I/d with eta = (d+2)/(2(d+1)) (Buzek & Hillery,
+    Phys. Rev. A 54, 1844 (1996)).
+    """
+    rho = validate_density(rho)
+    d = rho.shape[0]
+    if d not in (2, 4):
+        raise BadDimensionError(f"supported clone dimensions are 2 and 4, got {d}")
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    sym = (np.eye(d * d) + swap) / 2
+    return (2.0 / (d + 1)) * sym @ np.kron(rho, np.eye(d)) @ sym
+
+
 def concurrence_xstate_oracle(rho: np.ndarray) -> float:
     """Closed-form concurrence for states with only diagonal and anti-diagonal entries.
 
@@ -35,7 +52,7 @@ def concurrence_xstate_oracle(rho: np.ndarray) -> float:
     (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).
     Raises NotXShapeError when any other entry is nonzero.
     """
-    rho = require_two_qubit(validate_density(rho))
+    rho = _require_two_qubit(validate_density(rho))
     mask = np.zeros((4, 4), dtype=bool)
     mask[np.arange(4), np.arange(4)] = True
     mask[np.arange(4), np.arange(4)[::-1]] = True

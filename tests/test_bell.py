@@ -19,7 +19,6 @@ from entclone import (
     chsh_value,
     clone_local,
     clone_nonlocal,
-    correlation,
     correlation_matrix,
     validate_density,
 )
@@ -64,17 +63,33 @@ def test_correlation_imaginary_part_holds_its_tolerance_edge():
 
 
 def test_correlation_along_axes():
-    rho = psi_minus(np.sqrt(0.5))
-    assert abs(correlation(rho, Z, Z) + 1.0) < 1e-12
-    assert abs(correlation(rho, X, Z)) < 1e-12
+    # the spin correlation E(a, b) = a . T b
+    t = correlation_matrix(psi_minus(np.sqrt(0.5)))
+    assert abs(Z @ t @ Z + 1.0) < 1e-12
+    assert abs(X @ t @ Z) < 1e-12
 
 
-def test_correlation_rejects_bad_directions():
-    rho = psi_minus(0.5)
+def test_chsh_config_rejects_bad_directions():
     with pytest.raises(NotNormalizedError):
-        correlation(rho, 2.0 * Z, Z)
+        ChshConfig(a=X, a_prime=X, b=2.0 * Z, b_prime=Z)
     with pytest.raises(BadDimensionError):
-        correlation(rho, np.array([0.0, 1.0]), Z)
+        ChshConfig(a=X, a_prime=X, b=np.array([0.0, 1.0]), b_prime=Z)
+
+
+def test_chsh_value_takes_only_a_chsh_config():
+    # unchecked, None escaped as AttributeError
+    with pytest.raises(OutOfRangeError, match="^cfg must be a ChshConfig, got None$"):
+        chsh_value(psi_minus(0.5), None)
+
+
+@pytest.mark.parametrize("direction, shown", [([1 + 0j, 0, 0], "a complex number, got (1+0j)"),
+                                              ([True, False, False], "a bool, got True")])
+def test_chsh_config_takes_only_real_directions(direction, shown):
+    # unchecked, NumPy dropped the imaginary part with a ComplexWarning, and True read as 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match=f"^measurement direction must be real, not {re.escape(shown)}$"):
+            ChshConfig(a=direction, a_prime=X, b=Z, b_prime=Z)
 
 
 def test_chsh_config_validates_units():
@@ -90,7 +105,7 @@ def test_a_non_finite_or_huge_direction_is_not_unit_length(direction):
         with pytest.raises(NotNormalizedError, match="got norm (nan|inf)$"):
             ChshConfig(a=np.array(direction), a_prime=X, b=Z, b_prime=Z)
         with pytest.raises(NotNormalizedError, match="got norm (nan|inf)$"):
-            correlation(psi_minus(0.5), Z, np.array(direction))
+            ChshConfig(a=X, a_prime=X, b=np.array(direction), b_prime=Z)
 
 
 def test_chsh_config_holds_read_only_copies_of_its_directions():
@@ -173,7 +188,7 @@ def test_bmax_numeric_is_deterministic():
     assert bmax_numeric(rho, seed=5) == bmax_numeric(rho, seed=5) == bmax_numeric(rho, seed=np.int64(5))
 
 
-@pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, np.int64(-1), "1", None])
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, np.int64(-1), "1", None, np.array(0.5), np.array(1)])
 def test_bmax_numeric_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     # unchecked, True ran seed 1, 1.5 escaped as NumPy's TypeError and -1 as its ValueError
     message = f"seed must be a non-negative integer, got {seed!r}"

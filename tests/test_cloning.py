@@ -17,14 +17,13 @@ from entclone import (
     density_from_pure,
     iterate,
     partial_trace,
-    symmetric_cloner_joint,
 )
 from entclone.cli import _clone_block
 from entclone.cloning import REMIX_TOL, _iterate, bell_clone
 from entclone.linalg import _psd_eigh
 
 from helpers import densities, random_density
-from oracles import shrink_channel
+from oracles import shrink_channel, symmetric_cloner_joint
 
 
 def _bell_density(kind, alpha):
@@ -107,6 +106,7 @@ def test_clone_local_shrinks_each_qubit_marginal():
 
 
 def test_joint_cloner_marginals_reproduce_shrink():
+    # for d = 4 each marginal of the Buzek-Hillery joint state is the package's non-local channel
     rng = np.random.default_rng(23)
     for dim in (2, 4):
         eta = (dim + 2.0) / (2.0 * (dim + 1.0))
@@ -117,6 +117,8 @@ def test_joint_cloner_marginals_reproduce_shrink():
             for side in ("first", "second"):
                 clone = partial_trace(joint, (dim, dim), side)
                 assert np.abs(clone - shrink_channel(rho, eta)).max() < 1e-12
+                if dim == 4:
+                    assert np.abs(clone - CloneScheme.NONLOCAL.apply(rho)).max() < 1e-12
 
 
 def test_joint_cloner_rejects_odd_dimension():
@@ -153,7 +155,8 @@ def test_iterate_rejects_negative_count():
         iterate(np.eye(4) / 4.0, CloneScheme.LOCAL, -1)
 
 
-@pytest.mark.parametrize("n, shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'"), (None, "None")])
+@pytest.mark.parametrize("n, shown", [(True, "True"), (2.0, "2.0"), ("2", "'2'"), (None, "None"),
+                                      (np.array(0.5), "array(0.5)"), (np.array(2), "array(2)")])
 def test_iterate_rejects_a_count_that_is_not_an_integer(n, shown):
     # np.eye(3) is no state: the count is checked first
     for rho in (np.eye(4) / 4.0, np.eye(3)):

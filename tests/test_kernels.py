@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entclone import (
-    PAULI_Y,
     PAULIS,
     PLANAR_PI4,
     REGISTER_SHRINK,
@@ -56,8 +55,8 @@ from entclone.linalg import (
     _partial_trace,
     _psd_eigh,
     _psd_root,
+    _dagger,
     _transpose_second,
-    dagger,
 )
 from entclone.separability import PPT_TOL, _verdict
 from entclone.states import TRACE_TOL, _check_densities, _two_qubit_stack
@@ -300,7 +299,7 @@ def test_stacked_remix_check_is_live(monkeypatch):
 
 
 # sigma_y (x) sigma_y, the matrix the spin flip was computed with
-_SIGMA_YY = np.kron(PAULI_Y, PAULI_Y).real.astype(complex)
+_SIGMA_YY = np.kron(PAULIS[1], PAULIS[1]).real.astype(complex)
 
 
 def test_index_arithmetic_equals_the_matrix_products_it_replaced():
@@ -353,10 +352,10 @@ def _two_dagger_check(m):
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
-        defect = float(np.abs(m - dagger(m)).max())
+        defect = float(np.abs(m - _dagger(m)).max())
         if defect > HERMITIAN_TOL:
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
-        values, vectors = np.linalg.eigh((m + dagger(m)) / 2)
+        values, vectors = np.linalg.eigh((m + _dagger(m)) / 2)
     values, vectors = values[..., ::-1].copy(), vectors[..., ::-1].copy()
     if float(values.min()) < -PSD_TOL:
         raise NotPsdError(f"not positive semidefinite: min eigenvalue = {float(values.min()):.3e}")

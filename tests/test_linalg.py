@@ -8,14 +8,13 @@ from entclone import (
     NoConvergenceError,
     NotHermitianError,
     NotPsdError,
-    dagger,
     hermitian_eig,
     partial_trace,
     partial_transpose,
     psd_sqrt,
     validate_density,
 )
-from entclone.linalg import _eigh
+from entclone.linalg import _dagger, _eigh
 from entclone.states import _check_densities
 
 from helpers import random_density, random_hermitian, with_member
@@ -23,8 +22,8 @@ from helpers import random_density, random_hermitian, with_member
 
 def test_dagger_is_conjugate_transpose():
     m = np.array([[1.0, 2.0 + 1j], [3.0 - 4j, 5j]])
-    assert np.array_equal(dagger(m), m.conj().T)
-    assert np.array_equal(dagger(dagger(m)), m)
+    assert np.array_equal(_dagger(m), m.conj().T)
+    assert np.array_equal(_dagger(_dagger(m)), m)
 
 
 def test_hermitian_eig_reconstructs():
@@ -35,8 +34,8 @@ def test_hermitian_eig_reconstructs():
             dec = hermitian_eig(h)
             w, v = dec.eigenvalues, dec.eigenvectors
             assert np.all(np.diff(w) <= 1e-12), "eigenvalues must come out descending"
-            assert np.abs(v @ dagger(v) - np.eye(dim)).max() < 1e-12
-            assert np.abs((v * w) @ dagger(v) - h).max() < 1e-12
+            assert np.abs(v @ _dagger(v) - np.eye(dim)).max() < 1e-12
+            assert np.abs((v * w) @ _dagger(v) - h).max() < 1e-12
 
 
 def test_hermitian_eig_matches_diagonal():
@@ -70,7 +69,7 @@ def test_psd_sqrt_squares_back():
         rho = random_density(rng, 4)
         root = psd_sqrt(rho)
         assert np.abs(root @ root - rho).max() < 1e-12
-        assert np.abs(root - dagger(root)).max() < 1e-12
+        assert np.abs(root - _dagger(root)).max() < 1e-12
 
 
 def test_psd_sqrt_rejects_negative_eigenvalue():

@@ -1,6 +1,8 @@
 """The package namespace: ``__all__`` lists exactly the public names, each declared by the module that defines it."""
 
 import inspect
+import re
+from pathlib import Path
 
 import entclone
 from entclone import bell, cloning, entanglement, errors, linalg, separability, states
@@ -29,3 +31,11 @@ def test_the_package_exports_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
     assert len(names) == len(set(names)), "a name is listed by two modules"
     assert sorted(entclone.__all__) == sorted(names)
+
+
+def test_the_readme_library_section_lists_each_module_export():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    lines = re.findall(r"^- `(\w+)`: (.+)$", library, re.M)
+    listed = {module: re.findall(r"`(\w+)`", names) for module, names in lines}
+    assert listed == {module.__name__.rpartition(".")[2]: module.__all__ for module in MODULES}

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -59,6 +60,27 @@ def test_bell_state_rejects_a_bool_amplitude(alpha):
     # unchecked, True read as 1 and PSI_MINUS built |01>
     with pytest.raises(OutOfRangeError, match="^alpha must be a real amplitude, not a bool, got "):
         bell_state(BellKind.PSI_MINUS, alpha)
+
+
+def test_bell_state_takes_the_enum_or_its_value():
+    assert bell_state("phi_plus", 0.6).tobytes() == bell_state(BellKind.PHI_PLUS, 0.6).tobytes()
+    with pytest.raises(ValueError, match="^'bell' is not a valid BellKind$"):
+        bell_state("bell", 0.6)
+
+
+@pytest.mark.parametrize("alpha, shown", [("0.5", "a string, got '0.5'"), (0.5 + 0j, "a complex number, got (0.5+0j)"),
+                                          (None, "an object, got None"), (["0.5"], "a string, got '0.5'")])
+def test_bell_state_rejects_an_amplitude_that_is_not_a_real_number(alpha, shown):
+    # unchecked, "0.5" was parsed into the alpha = 0.5 ket, None read as nan and a complex raised TypeError
+    with pytest.raises(OutOfRangeError, match=f"^alpha must be a real amplitude, not {re.escape(shown)}$"):
+        bell_state(BellKind.PSI_MINUS, alpha)
+
+
+def test_matrices_and_kets_of_strings_are_not_parsed():
+    with pytest.raises(OutOfRangeError, match="^matrix entries must be numbers, not a string, got '1'$"):
+        validate_density([["1"]])
+    with pytest.raises(OutOfRangeError, match="^ket entries must be numbers, not a string, got '1'$"):
+        density_from_pure(["1", "0"])
 
 
 def test_density_from_pure_projector():
@@ -155,6 +177,25 @@ def test_density_from_dict_takes_only_an_integer_dim(dim, size):
     with pytest.raises(ValueError, match="^malformed density payload: dim must be a JSON integer, got ") as info:
         density_from_dict(payload)
     assert type(info.value) is ValueError
+
+
+def test_state_payloads_and_files_reject_bad_arguments_with_value_errors(tmp_path):
+    # density_from_dict and save_density escaped as IndexError, load_density and a bad path as TypeError,
+    # and density_to_dict(np.ones(3)) made a payload that load_density could not read
+    with pytest.raises(ValueError, match="^state file must hold a JSON object$"):
+        density_from_dict(np.eye(2))
+    with pytest.raises(BadDimensionError):
+        density_to_dict(np.ones(3))
+    with pytest.raises(OutOfRangeError):
+        save_density(tmp_path / "none.json", None)
+    assert not (tmp_path / "none.json").exists()
+    with pytest.raises(ValueError, match="^cannot write state file: "):
+        save_density(object(), np.eye(4) / 4)
+    with pytest.raises(ValueError, match="^cannot read state file: "):
+        load_density(object())
+    message = "malformed density payload: re must hold real numbers, not a string, got '1'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        density_from_dict({"dim": 1, "re": [["1"]], "im": [[0]]})
 
 
 def test_file_round_trip(tmp_path):
