@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _count, _partial_trace
+from .linalg import SpectralDecomposition, _count, _member, _partial_trace
 from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack
 
 __all__ = [
@@ -121,7 +121,7 @@ def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarr
     density matrix.  ``scheme`` is a CloneScheme or its value ("pure",
     "local", "nonlocal"); ``n`` is a non-negative integer (not a bool).
     """
-    scheme = CloneScheme(scheme)
+    scheme = _member(CloneScheme, scheme, "scheme")
     if not _count(n):
         raise OutOfRangeError(f"step count must be a non-negative integer, got {n!r}")
     return [rhos[0] for rhos, _ in _iterate(*_two_qubit_stack(rho), scheme, n)]

@@ -14,6 +14,7 @@ written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``;
 
 from __future__ import annotations
 
+import enum
 import numbers
 import operator
 from typing import NamedTuple
@@ -89,6 +90,14 @@ def _real(x) -> bool:
 def _count(n) -> bool:
     # a non-negative integer other than a bool: NumPy ints pass; a float, a string, None, True and a 0-d array do not
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0
+
+
+def _member(kind: type[enum.Enum], value, name: str) -> enum.Enum:
+    # kind(value) for a member of kind or a string; anything else, an array among them, whose comparison in the
+    # enum's lookup would raise NumPy's ambiguous-truth error, is refused naming the parameter
+    if not isinstance(value, (kind, str)):
+        raise ValueError(f"{name} must be a {kind.__name__} or its value, got {value!r}")
+    return kind(value)
 
 
 def _require_two_qubit(m: np.ndarray) -> np.ndarray:
@@ -169,9 +178,7 @@ def _partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarra
     t = m.reshape(*m.shape[:-2], da, db, da, db)
     if keep == "first":
         return np.einsum("...ijkj->...ik", t)
-    if keep == "second":
-        return np.einsum("...ijil->...jl", t)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+    return np.einsum("...ijil->...jl", t)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
@@ -189,4 +196,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray
         raise BadDimensionError(f"dims must be two positive integers, got {dims!r}") from None
     if min(da, db) < 1 or m.shape[0] != da * db:  # (-2, -2) has the product 4 too
         raise BadDimensionError(f"matrix of dim {m.shape[0]} does not factor as {da}x{db}")
+    if not isinstance(keep, str) or keep not in ("first", "second"):  # an array's == would raise NumPy's own error
+        raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
     return _partial_trace(m, (da, db), keep)

@@ -7,13 +7,14 @@ eigenvalue decides entanglement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import _dagger, _real, _transpose_second
+from .linalg import _dagger, _member, _real, _transpose_second
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -60,27 +61,65 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]))
 
 
-def _path(ends: list[float], margins: list[float | None], tol: float) -> list[float]:
-    # the midpoints a sequential bisection of ends = [separable_end, entangled_end] visits down to tol if each
-    # falls on the side of a guessed root: the secant root through the ends' PT margins, or an end with none yet
-    (sep, ent), (m_sep, m_ent) = ends, margins
-    guess = sep if m_sep is None else ent if m_ent is None else sep + (ent - sep) * m_sep / (m_sep - m_ent)
-    mids = []
-    while abs(ent - sep) > tol and (mid := (sep + ent) / 2) not in (sep, ent):
+# an interval's first stack holds the top _TREE_DEPTH levels of each endpoint's bisection tree, which leaves at least
+# _NEAREST samples to guess from; each later stack a path toward the root guessed from the _NEAREST samples nearest
+# the bracket, cut once the bracket is narrower than _CUT times the guess's error estimate
+_TREE_DEPTH = 4
+_NEAREST = 4
+_CUT = 0.1
+
+
+def _guess(ends: list[float], samples: dict[float, tuple[float, bool]]) -> tuple[float, float]:
+    # Neville's inverse interpolation of alpha^2 against the PT margin, at margin 0, through the samples nearest the
+    # bracket middle: the estimate through all of them clamped into the bracket, and as its error the distance to the
+    # estimate through one sample fewer; the bracket middle and width if two margins are equal
+    middle, width = (ends[0] + ends[1]) / 2, abs(ends[1] - ends[0])
+    xs = sorted(samples, key=lambda x: abs(x - middle))[:_NEAREST]
+    margins, tableau, estimates = [samples[x][0] for x in xs], xs[:], []
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - j):
+            gi, gj = margins[i], margins[i + j]
+            tableau[i] = (gi * tableau[i + 1] - gj * tableau[i]) / (gi - gj) if gi != gj else math.nan
+        estimates.append(tableau[0])
+    error = abs(estimates[-1] - estimates[-2])
+    if not math.isfinite(error):
+        return middle, width
+    return min(max(estimates[-1], min(ends)), max(ends)), error
+
+
+def _path(ends: list[float], samples: dict[float, tuple[float, bool]], tol: float) -> list[float]:
+    # the midpoints to stack for ends = [separable_end, entangled_end]: with no samples yet every midpoint of the top
+    # _TREE_DEPTH bisection levels; else, from the bracket's own midpoint on, those a sequential bisection visits if
+    # each falls on the side of the guessed root, down to tol, a stall or a width of _CUT times the guess's error
+    if not samples:
+        brackets, mids = [tuple(ends)], []
+        for _ in range(_TREE_DEPTH):
+            if abs(brackets[0][1] - brackets[0][0]) <= tol:
+                break
+            halves = [(sep + ent) / 2 for sep, ent in brackets]
+            mids += halves
+            brackets = [half for (sep, ent), mid in zip(brackets, halves) for half in ((sep, mid), (mid, ent))]
+        return mids
+    guess, error = _guess(ends, samples)
+    (sep, ent), mids = ends, []
+    while (width := abs(ent - sep)) > tol and (mid := (sep + ent) / 2) not in (sep, ent):
+        if mids and width <= _CUT * error:
+            break
         mids.append(mid)
         sep, ent = (mid, ent) if (mid < guess) == (sep < ent) else (sep, mid)
     return mids
 
 
-def _walk(ends: list[float], margins: list[float | None], path: list[float], verdicts: list, tol: float) -> str | None:
-    # narrows ends by the path's (margin, entangled) verdicts up to and including its first wrong prediction, past
-    # which its midpoints are not the bracket's; returns the stall message if the next midpoint fails to split it
-    for mid, (margin, side) in zip(path, verdicts):
-        if mid != (ends[0] + ends[1]) / 2:
+def _walk(ends: list[float], samples: dict[float, tuple[float, bool]], tol: float) -> str | None:
+    # narrows ends while their midpoint has a verdict in samples; returns the stall message if the midpoint fails to
+    # split them, tested first because such a midpoint is an end, and so a sample
+    while abs(ends[1] - ends[0]) > tol:
+        mid = (ends[0] + ends[1]) / 2
+        if mid in ends:
+            return "bisection stalled at alpha^2 bracket [{!r}, {!r}], wider than tol {:g}".format(*sorted(ends), tol)
+        if mid not in samples:
             break
-        ends[side], margins[side] = mid, margin
-    if abs(ends[1] - ends[0]) > tol and (ends[0] + ends[1]) / 2 in ends:
-        return "bisection stalled at alpha^2 bracket [{!r}, {!r}], wider than tol {:g}".format(*sorted(ends), tol)
+        ends[samples[mid][1]] = mid
     return None
 
 
@@ -94,28 +133,33 @@ def entanglement_interval(
     endpoints are located to within ``tol``, exploiting that the interval is
     symmetric about 1/2 and contains it; ``tol`` must be a finite positive
     real (not a bool), as an infinite one would end the bisection before its
-    first step.  Each stacked PPT test holds, per endpoint still wider than
-    ``tol``, the midpoints a sequential bisection visits down to ``tol`` if
-    each falls on the side of the secant root of the bracket ends' PT
-    margins; the endpoint walks them up to and including the first wrong
-    prediction, so each stack settles at least one level and the brackets
-    are those of one probe per step.  Raises NoConvergenceError when ``tol``
-    is below the float spacing at an endpoint, so that the midpoint no
-    longer splits the bracket; a high-endpoint stall is reported only after
-    the low endpoint converges.
+    first step.  The brackets are those of a bisection with one PPT probe per
+    step, but the probes are stacked.  The first stacked PPT test holds the
+    top four levels of each endpoint's bisection tree.  Each later one holds,
+    per endpoint still wider than ``tol``, the midpoints a sequential
+    bisection visits if each falls on the side of a root guessed by inverse
+    interpolation through the four evaluated PT margins nearest the bracket,
+    cut where the bracket is narrower than a tenth of the guess's error
+    estimate.  An endpoint settles every midpoint of its bracket that has a
+    verdict, so each stack settles at least one level.  Raises
+    NoConvergenceError when ``tol`` is below the float spacing at an
+    endpoint, so that the midpoint no longer splits the bracket; a
+    high-endpoint stall is reported only after the low endpoint converges.
     """
-    scheme = CloneScheme(scheme)
+    scheme = _member(CloneScheme, scheme, "scheme")
     if not _real(tol) or not 0.0 < tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
-    # [separable_end, entangled_end] of the low and the high endpoint and their PT margins low + PPT_TOL, once known;
-    # every round stacks the predicted path of each endpoint still walking, and each walks its own path
-    ends, margins, stalls = [[0.0, 0.5], [1.0, 0.5]], [[None, None], [None, None]], [None, None]
+    # [separable_end, entangled_end] of the low and the high endpoint, and each one's samples: every midpoint it has
+    # stacked, with its PT margin low + PPT_TOL and its verdict; every round stacks the paths of the endpoints still
+    # walking, and each walks its own samples
+    ends, samples, stalls = [[0.0, 0.5], [1.0, 0.5]], [{}, {}], [None, None]
     while walking := [k for k in (0, 1) if stalls[k] is None and abs(ends[k][1] - ends[k][0]) > tol]:
-        paths = [_path(ends[k], margins[k], tol) for k in walking]
+        paths = [_path(ends[k], samples[k], tol) for k in walking]
         low, entangled = _verdict(bell_clone(scheme, np.sqrt([mid for path in paths for mid in path])))
         verdicts = list(zip((low + PPT_TOL).tolist(), entangled.tolist()))
         for k, path in zip(walking, paths):
-            stalls[k] = _walk(ends[k], margins[k], path, verdicts, tol)
+            samples[k].update(zip(path, verdicts))
+            stalls[k] = _walk(ends[k], samples[k], tol)
             verdicts = verdicts[len(path):]
     # as in a sequential bisection, low then high: a high-endpoint stall is reported only if the low endpoint converges
     for stall in stalls:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadDimensionError, BadTraceError, NotNormalizedError, OutOfRangeError
-from .linalg import SpectralDecomposition, _as_square, _numeric, _psd_eigh, _require_two_qubit
+from .linalg import SpectralDecomposition, _as_square, _member, _numeric, _psd_eigh, _require_two_qubit
 
 __all__ = [
     "BellKind",
@@ -55,7 +55,7 @@ def bell_state(kind: BellKind | str, alpha) -> np.ndarray:
     ("psi_minus", ...).  An array of amplitudes gives a stack of states of
     shape (..., 4).
     """
-    kind = BellKind(kind)
+    kind = _member(BellKind, kind, "kind")
     alpha = np.asarray(_numeric(alpha, "alpha must be a real amplitude", real=True), dtype=float)
     inside = (0.0 <= alpha) & (alpha <= 1.0)
     if not inside.all():
@@ -74,6 +74,8 @@ def _bell_ket(kind: BellKind, alpha: np.ndarray) -> np.ndarray:
 def density_from_pure(psi: np.ndarray) -> np.ndarray:
     """Projector |psi><psi| of a normalized pure state (of each state of a stack)."""
     psi = np.asarray(_numeric(psi, "ket entries must be numbers"), dtype=complex)
+    if psi.ndim == 0:
+        raise BadDimensionError(f"ket must be a vector or a stack of vectors, got shape {psi.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite or huge entry gives a norm reported below
         norms = np.sqrt(np.vecdot(psi, psi).real)
     # written as not <=, so a NaN norm is off too

@@ -104,3 +104,20 @@ def test_every_export_returns_or_raises_a_contract_error(workdir, data):
                 assert refused, f"{name} refused valid arguments {dict(zip(parameters, kinds))}"
             else:
                 assert not refused, f"{name} took {refused}"
+
+
+_NAMED_CALLS = {
+    "partial_trace(keep)": (lambda value: entclone.partial_trace(_RHO, (2, 2), value), "keep"),
+    "iterate(scheme)": (lambda value: entclone.iterate(_RHO, value, 1), "scheme"),
+    "entanglement_interval(scheme)": (lambda value: entclone.entanglement_interval(value), "scheme"),
+    "bell_state(kind)": (lambda value: entclone.bell_state(value, 0.6), "kind"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_NAMED_CALLS))
+@pytest.mark.parametrize("value", [np.ones(3), np.array(["local", "first"])])
+def test_an_array_for_a_name_is_refused_naming_the_parameter(call, value):
+    # an array compared with a name in the enum lookup or with "first" raised NumPy's ambiguous-truth ValueError
+    function, name = _NAMED_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        function(value)

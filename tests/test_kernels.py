@@ -232,12 +232,13 @@ def test_interval_has_the_bits_of_a_sequential_bisection(scheme, tol):
 
 @pytest.mark.parametrize(
     "scheme, tol, stacks",
-    [("pure", 0.1, 1), ("pure", 1e-8, 1), ("pure", 1e-14, 1), ("local", 0.1, 1), ("local", 1e-8, 4),
-     ("local", 1e-14, 5), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 4), ("nonlocal", 1e-14, 5)],
+    [("pure", 0.1, 1), ("pure", 1e-8, 4), ("pure", 1e-14, 5), ("local", 0.1, 1), ("local", 1e-8, 3),
+     ("local", 1e-14, 3), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 3), ("nonlocal", 1e-14, 4)],
 )
 def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monkeypatch):
-    # one stacked PPT solve holds both endpoints' predicted paths; pure is entangled at every midpoint
-    # of its paths, which predict just that, so it settles in one stack
+    # each stacked PPT solve holds both endpoints' midpoints, the first the top four levels of both bisection trees;
+    # pure is entangled on all of (0, 1), so its endpoints lie next to 0 and 1 and every guess extrapolates from
+    # samples on one side: 4 and 5 stacks at 1e-8 and 1e-14, where a first path heading for the unsampled end took 1
     calls = count_solves(monkeypatch)
     entanglement_interval(scheme, tol)
     assert calls == {"eigh": 0, "eigvalsh": stacks}
@@ -245,29 +246,33 @@ def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monke
 
 def test_interval_stacks_over_the_bench_tolerances(monkeypatch):
     # the 17 tolerances of the single-state benchmark's interval ops (1e-14, 3e-14, ..., 3e-7, 1e-6), local and
-    # non-local
-    calls = count_solves(monkeypatch)
+    # non-local; with paths run down to tol they took 146 stacks and 6910 clones
+    calls, clones, verdict = count_solves(monkeypatch), [], separability._verdict
+    monkeypatch.setattr(separability, "_verdict", lambda rhos, *args: clones.append(len(rhos)) or verdict(rhos, *args))
     for scheme in ("local", "nonlocal"):
         for tol in [float(f"{m}e-{e}") for e in range(14, 6, -1) for m in (1, 3)] + [1e-6]:
             entanglement_interval(scheme, tol)
-    assert calls == {"eigh": 0, "eigvalsh": 146}
+    assert calls == {"eigh": 0, "eigvalsh": 106}
+    assert (len(clones), sum(clones)) == (106, 3206)
 
 
 @pytest.mark.parametrize("tol", [0.3, 0.1, 1e-6, 1e-14])
 def test_interval_progresses_when_every_prediction_is_wrong(tol, monkeypatch):
-    # a verdict contradicting each prediction a path makes: the walk settles one level per stack, the
-    # bracket of a sequential bisection under the same verdicts
+    # a verdict contradicting each prediction a path makes: past the first stack's tree the walk settles one level
+    # per stack, the bracket of a sequential bisection under the same verdicts; equal margins leave nothing to
+    # interpolate, so each guess is the bracket middle
     paths, verdicts, stacks = [], {}, []
 
-    def recording_path(ends, margins, tol):
-        path = separability_path(ends, margins, tol)
+    def recording_path(ends, samples, tol):
+        path = separability_path(ends, samples, tol)
         paths.append((ends[0] < ends[1], path))
         return path
 
     def contrary(rhos, tol=PPT_TOL):
         flags = []
         for rising, path in paths:
-            # a path predicts mid entangled when its next midpoint lies on the separable side of mid
+            # a path predicts mid entangled when its next midpoint lies on the separable side of mid; the first
+            # stack's tree predicts nothing, and its midpoints get the flags this rule gives their order
             flags += [(after < mid) != rising for mid, after in zip(path, path[1:])] + [False]
             verdicts.update(zip(path, flags[-len(path):]))
         paths.clear()

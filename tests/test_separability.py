@@ -17,9 +17,11 @@ from entclone import (
     ppt_verdict,
 )
 
+from entclone import separability
 from entclone.separability import PPT_TOL, _verdict
 
 from helpers import psi_minus, random_density, werner
+from test_kernels import _sequential_interval
 
 LOCAL_LOW = 0.5 - np.sqrt(39.0) / 16.0
 LOCAL_HIGH = 0.5 + np.sqrt(39.0) / 16.0
@@ -215,11 +217,26 @@ STALL_MESSAGES = {
 
 
 @pytest.mark.parametrize("scheme", ["local", "nonlocal"])
-def test_interval_raises_when_the_midpoint_stops_splitting_the_bracket(scheme):
-    for tol in (1e-30, 5e-17):
+def test_interval_raises_when_the_midpoint_stops_splitting_the_bracket(scheme, monkeypatch):
+    # 1e-18 and 5e-324 lie below the float spacing at both endpoints; a walk that stops settling levels there would
+    # stack forever, so past 128 stacks the test fails instead of hanging
+    stacks, verdict = [], separability._verdict
+
+    def bounded(rhos, *args):
+        stacks.append(len(rhos))
+        assert len(stacks) <= 128, f"{len(stacks)} stacks without a stall"
+        return verdict(rhos, *args)
+
+    monkeypatch.setattr(separability, "_verdict", bounded)
+    for tol in (1e-30, 5e-17, 1e-18, 5e-324):
+        with pytest.raises(NoConvergenceError) as expected:
+            _sequential_interval(scheme, tol)
+        stacks.clear()
         with pytest.raises(NoConvergenceError) as info:
             entanglement_interval(scheme, tol=tol)
-        assert str(info.value) == STALL_MESSAGES[scheme, tol]
+        assert str(info.value) == str(expected.value)
+        if (scheme, tol) in STALL_MESSAGES:
+            assert str(info.value) == STALL_MESSAGES[scheme, tol]
         found = re.search(r"bracket \[(\S+), (\S+)\]", str(info.value))
         low, high = float(found.group(1)), float(found.group(2))
         # two adjacent floats at the paper's endpoint, which PPT_TOL moves by ~1e-10

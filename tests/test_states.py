@@ -90,6 +90,13 @@ def test_density_from_pure_projector():
     assert np.abs(rho @ rho - rho).max() < 1e-14
 
 
+@pytest.mark.parametrize("ket", [0.5, np.array(0.5)])
+def test_density_from_pure_rejects_a_ket_with_no_axis(ket):
+    # NumPy's vecdot raised "Input operand 0 does not have enough dimensions", naming no argument
+    with pytest.raises(BadDimensionError, match=r"^ket must be a vector or a stack of vectors, got shape \(\)$"):
+        density_from_pure(ket)
+
+
 def test_density_from_pure_rejects_unnormalized():
     with pytest.raises(NotNormalizedError):
         density_from_pure(np.array([1.0, 1.0, 0.0, 0.0]))
