@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError, OutOfRangeError
 from .linalg import HERMITIAN_TOL, PAULIS, _count, _numeric
-from .states import _two_qubit_stack
+from .states import NORM_TOL, _two_qubit_stack
 
 __all__ = [
     "ChshConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "correlation_matrix",
 ]
 
-UNIT_TOL = 1e-12
 BMAX_RESTARTS = 64  # random starting direction pairs of bmax_numeric
 _BMAX_ITERATIONS = 300
 # bmax_numeric looks for a restart repeating itself every _CYCLE_STRIDE iterations, at periods up to _CYCLE_LAGS
@@ -50,7 +49,7 @@ def _unit_vector(v: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):  # a norm past the float maximum reads inf and fails below
         norm = float(np.linalg.norm(v))
     # written as not <=, so a NaN norm fails too
-    if not abs(norm - 1.0) <= UNIT_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise NotNormalizedError(f"measurement direction must be unit length, got norm {norm:.12g}")
     return v
 

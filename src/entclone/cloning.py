@@ -56,34 +56,31 @@ class CloneScheme(enum.Enum):
     LOCAL = "local"
     NONLOCAL = "nonlocal"
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Send a 4x4 density matrix, or each of a stack (..., 4, 4), through this channel.
 
-        Unchecked: rho must already be validated, or built by the caller.
-        Affine, not linear: the constant identity term assumes tr rho = 1.
-        LOCAL is the tensor square of the single-qubit shrink map,
-        rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36.
-        """
-        if self is CloneScheme.PURE:
-            return rho
-        if self is CloneScheme.NONLOCAL:
-            return REGISTER_SHRINK * rho + _REGISTER_NOISE
-        rho_a = _partial_trace(rho, (2, 2), "first")
-        rho_b = _partial_trace(rho, (2, 2), "second")
-        # rho_a (x) I and I (x) rho_b: the products np.kron forms, broadcast over the stack
-        a_eye = (rho_a[..., :, None, :, None] * _EYE2[:, None, :]).reshape(rho.shape)
-        eye_b = (_EYE2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rho.shape)
-        return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + _QUBIT_PAIR_NOISE
+def _channel(scheme: CloneScheme, rhos: np.ndarray) -> np.ndarray:
+    # unchecked: a 4x4 density matrix, or each of a stack (..., 4, 4), already validated or built by the caller, sent
+    # through scheme's channel.  Affine, not linear: the constant identity term assumes tr rho = 1.  LOCAL is the
+    # tensor square of the single-qubit shrink map, rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36
+    if scheme is CloneScheme.PURE:
+        return rhos
+    if scheme is CloneScheme.NONLOCAL:
+        return REGISTER_SHRINK * rhos + _REGISTER_NOISE
+    rho_a = _partial_trace(rhos, (2, 2), "first")
+    rho_b = _partial_trace(rhos, (2, 2), "second")
+    # rho_a (x) I and I (x) rho_b: the products np.kron forms, broadcast over the stack
+    a_eye = (rho_a[..., :, None, :, None] * _EYE2[:, None, :]).reshape(rhos.shape)
+    eye_b = (_EYE2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rhos.shape)
+    return (4.0 / 9.0) * rhos + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + _QUBIT_PAIR_NOISE
 
 
 def clone_nonlocal(rho: np.ndarray) -> np.ndarray:
     """Clone a two-qubit state as a single 4-dimensional register."""
-    return CloneScheme.NONLOCAL.apply(_two_qubit_stack(rho)[0][0])
+    return _channel(CloneScheme.NONLOCAL, _two_qubit_stack(rho)[0][0])
 
 
 def clone_local(rho: np.ndarray) -> np.ndarray:
     """Clone each qubit of a two-qubit state with its own machine."""
-    return CloneScheme.LOCAL.apply(_two_qubit_stack(rho)[0][0])
+    return _channel(CloneScheme.LOCAL, _two_qubit_stack(rho)[0][0])
 
 
 def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, n: int) -> Iterator[tuple]:
@@ -94,14 +91,14 @@ def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSche
         # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]; the remix check vets eigh's norms
         kets = vectors.swapaxes(-1, -2)
         # a fresh array for every scheme (PURE returns the projector stack made here), so it is weighted in place
-        clones = scheme.apply(kets[..., :, None] * kets.conj()[..., None, :])
+        clones = _channel(scheme, kets[..., :, None] * kets.conj()[..., None, :])
         np.multiply(weights[:, :, None, None], clones, out=clones)
         # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 in one buffer; a .sum over k reorders the additions,
         # and the + 0.0 turns an entry that is -0.0 in every term into the +0.0 a sum from zero gives
         remixed = clones[:, 0] + 0.0
         for k in range(1, 4):
             remixed += clones[:, k]
-        gap = float(np.abs(remixed - scheme.apply(rhos)).max())
+        gap = float(np.abs(remixed - _channel(scheme, rhos)).max())
         if gap > REMIX_TOL:
             raise RuntimeError(
                 f"eigenbasis remixing deviates from the direct channel by {gap:.3e}"
@@ -133,5 +130,5 @@ def bell_clone(scheme: CloneScheme, alphas) -> np.ndarray:
     Unchecked: for amplitudes the program made in [0, 1], whose kets are
     within about 1e-16 of norm 1.  Pass others through bell_state first.
     """
-    return scheme.apply(_projector(_bell_ket(BellKind.PSI_MINUS, np.asarray(alphas, dtype=float))))
+    return _channel(scheme, _projector(_bell_ket(BellKind.PSI_MINUS, np.asarray(alphas, dtype=float))))
 

@@ -61,36 +61,30 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]))
 
 
-# an interval's first stack holds the top _TREE_DEPTH levels of each endpoint's bisection tree, which leaves at least
-# _NEAREST samples to guess from; each later stack a path toward the root guessed from the _NEAREST samples nearest
-# the bracket, cut once the bracket is narrower than _CUT times the guess's error estimate
+# an interval's first stack holds the top _TREE_DEPTH levels of each endpoint's bisection tree, which always leaves the
+# two samples a guess needs; each later stack a path toward the root guessed from the two samples nearest the bracket
 _TREE_DEPTH = 4
-_NEAREST = 4
-_CUT = 0.1
 
 
-def _guess(ends: list[float], samples: dict[float, tuple[float, bool]]) -> tuple[float, float]:
-    # Neville's inverse interpolation of alpha^2 against the PT margin, at margin 0, through the samples nearest the
-    # bracket middle: the estimate through all of them clamped into the bracket, and as its error the distance to the
-    # estimate through one sample fewer; the bracket middle and width if two margins are equal
-    middle, width = (ends[0] + ends[1]) / 2, abs(ends[1] - ends[0])
-    xs = sorted(samples, key=lambda x: abs(x - middle))[:_NEAREST]
-    margins, tableau, estimates = [samples[x][0] for x in xs], xs[:], []
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - j):
-            gi, gj = margins[i], margins[i + j]
-            tableau[i] = (gi * tableau[i + 1] - gj * tableau[i]) / (gi - gj) if gi != gj else math.nan
-        estimates.append(tableau[0])
-    error = abs(estimates[-1] - estimates[-2])
-    if not math.isfinite(error):
-        return middle, width
-    return min(max(estimates[-1], min(ends)), max(ends)), error
+def _guess(ends: list[float], samples: dict[float, tuple[float, bool]]) -> float:
+    # the secant root, in u = alpha beta, of the PT margin through the two samples nearest the bracket middle, mapped
+    # back to alpha^2 on the bracket's side of 1/2; the margin is affine in u near each root, so the secant is exact
+    # there.  u^2 / (1/2 + sqrt(1/4 - u^2)) is 1/2 - sqrt(1/4 - u^2) without its cancellation near u = 0.  The
+    # bracket middle if the two margins are equal
+    middle = (ends[0] + ends[1]) / 2
+    (x0, (g0, _)), (x1, (g1, _)) = sorted(samples.items(), key=lambda item: abs(item[0] - middle))[:2]
+    if g0 == g1:
+        return middle
+    u0, u1 = math.sqrt(x0 * (1.0 - x0)), math.sqrt(x1 * (1.0 - x1))
+    u = u0 - g0 * (u1 - u0) / (g1 - g0)
+    low = u * u / (0.5 + math.sqrt(0.25 - u * u))
+    return low if middle < 0.5 else 1.0 - low
 
 
 def _path(ends: list[float], samples: dict[float, tuple[float, bool]], tol: float) -> list[float]:
     # the midpoints to stack for ends = [separable_end, entangled_end]: with no samples yet every midpoint of the top
     # _TREE_DEPTH bisection levels; else, from the bracket's own midpoint on, those a sequential bisection visits if
-    # each falls on the side of the guessed root, down to tol, a stall or a width of _CUT times the guess's error
+    # each falls on the side of the guessed root, down to tol or a stall
     if not samples:
         brackets, mids = [tuple(ends)], []
         for _ in range(_TREE_DEPTH):
@@ -100,11 +94,9 @@ def _path(ends: list[float], samples: dict[float, tuple[float, bool]], tol: floa
             mids += halves
             brackets = [half for (sep, ent), mid in zip(brackets, halves) for half in ((sep, mid), (mid, ent))]
         return mids
-    guess, error = _guess(ends, samples)
+    guess = _guess(ends, samples)
     (sep, ent), mids = ends, []
-    while (width := abs(ent - sep)) > tol and (mid := (sep + ent) / 2) not in (sep, ent):
-        if mids and width <= _CUT * error:
-            break
+    while abs(ent - sep) > tol and (mid := (sep + ent) / 2) not in (sep, ent):
         mids.append(mid)
         sep, ent = (mid, ent) if (mid < guess) == (sep < ent) else (sep, mid)
     return mids
@@ -135,13 +127,13 @@ def entanglement_interval(
     real (not a bool), as an infinite one would end the bisection before its
     first step.  The brackets are those of a bisection with one PPT probe per
     step, but the probes are stacked.  The first stacked PPT test holds the
-    top four levels of each endpoint's bisection tree.  Each later one holds,
-    per endpoint still wider than ``tol``, the midpoints a sequential
-    bisection visits if each falls on the side of a root guessed by inverse
-    interpolation through the four evaluated PT margins nearest the bracket,
-    cut where the bracket is narrower than a tenth of the guess's error
-    estimate.  An endpoint settles every midpoint of its bracket that has a
-    verdict, so each stack settles at least one level.  Raises
+    top four levels of each endpoint's bisection tree, which always leaves
+    the two samples a guess needs.  Each later one holds, per endpoint still
+    wider than ``tol``, the midpoints a sequential bisection visits down to
+    ``tol`` if each falls on the side of a root guessed by a secant in
+    alpha beta through the two evaluated PT margins nearest the bracket.
+    An endpoint settles every midpoint of its bracket that has a verdict, so
+    each stack settles at least one level.  Raises
     NoConvergenceError when ``tol`` is below the float spacing at an
     endpoint, so that the midpoint no longer splits the bracket; a
     high-endpoint stall is reported only after the low endpoint converges.

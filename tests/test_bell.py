@@ -24,6 +24,7 @@ from entclone import (
 )
 from entclone.bell import _correlations
 from entclone.linalg import HERMITIAN_TOL
+from entclone.states import NORM_TOL
 
 from helpers import densities, psi_minus, random_density
 from oracles import shrink_channel
@@ -97,9 +98,15 @@ def test_chsh_config_validates_units():
         ChshConfig(a=2.0 * X, a_prime=X, b=Z, b_prime=Z)
 
 
+def test_chsh_config_holds_its_norm_tolerance_edge():
+    ChshConfig(a=X * (1.0 + NORM_TOL / 2), a_prime=X, b=Z, b_prime=Z)
+    with pytest.raises(NotNormalizedError):
+        ChshConfig(a=X * (1.0 + 2 * NORM_TOL), a_prime=X, b=Z, b_prime=Z)
+
+
 @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0]])
 def test_a_non_finite_or_huge_direction_is_not_unit_length(direction):
-    # abs(norm - 1) > UNIT_TOL is False for a NaN norm: the NaN direction built a config and a nan correlation
+    # abs(norm - 1) > NORM_TOL is False for a NaN norm: the NaN direction built a config and a nan correlation
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotNormalizedError, match="got norm (nan|inf)$"):

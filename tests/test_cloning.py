@@ -18,8 +18,9 @@ from entclone import (
     iterate,
     partial_trace,
 )
+from entclone import cloning
 from entclone.cli import _clone_block
-from entclone.cloning import REMIX_TOL, _iterate, bell_clone
+from entclone.cloning import REMIX_TOL, _channel, _iterate, bell_clone
 from entclone.linalg import _psd_eigh
 
 from helpers import densities, random_density
@@ -53,7 +54,7 @@ def test_scheme_shrink_factors():
 
 def test_pure_scheme_is_the_identity_channel():
     rho = random_density(np.random.default_rng(21), 4)
-    assert CloneScheme.PURE.apply(rho) is rho
+    assert _channel(CloneScheme.PURE, rho) is rho
     assert [s.value for s in CloneScheme] == ["pure", "local", "nonlocal"]
 
 
@@ -61,7 +62,7 @@ def test_pure_scheme_is_the_identity_channel():
 def test_bell_clone_applies_the_channel_once_then_iterates(scheme):
     alphas = [0.6, 0.0, 1.0]
     rhos = [_bell_density(BellKind.PSI_MINUS, alpha) for alpha in alphas]
-    assert np.array_equal(bell_clone(scheme, alphas), [scheme.apply(rho) for rho in rhos])
+    assert np.array_equal(bell_clone(scheme, alphas), [_channel(scheme, rho) for rho in rhos])
     assert np.array_equal(_clone_block(scheme, 2, alphas)[0], [iterate(rho, scheme, 3)[-1] for rho in rhos])
 
 
@@ -118,7 +119,7 @@ def test_joint_cloner_marginals_reproduce_shrink():
                 clone = partial_trace(joint, (dim, dim), side)
                 assert np.abs(clone - shrink_channel(rho, eta)).max() < 1e-12
                 if dim == 4:
-                    assert np.abs(clone - CloneScheme.NONLOCAL.apply(rho)).max() < 1e-12
+                    assert np.abs(clone - _channel(CloneScheme.NONLOCAL, rho)).max() < 1e-12
 
 
 def test_joint_cloner_rejects_odd_dimension():
@@ -189,8 +190,8 @@ def test_clones_of_product_states_stay_product_like():
 def test_public_clones_and_one_iterate_round_match_the_scheme_channel(rho):
     local = clone_local(rho)
     nonlocal_ = clone_nonlocal(rho)
-    assert np.array_equal(local, CloneScheme.LOCAL.apply(rho))
-    assert np.array_equal(nonlocal_, CloneScheme.NONLOCAL.apply(rho))
+    assert np.array_equal(local, _channel(CloneScheme.LOCAL, rho))
+    assert np.array_equal(nonlocal_, _channel(CloneScheme.NONLOCAL, rho))
     for scheme, direct in ((CloneScheme.LOCAL, local), (CloneScheme.NONLOCAL, nonlocal_)):
         assert np.abs(iterate(rho, scheme, 1)[1] - direct).max() <= REMIX_TOL
 
@@ -198,17 +199,17 @@ def test_public_clones_and_one_iterate_round_match_the_scheme_channel(rho):
 @pytest.mark.parametrize("scheme", [CloneScheme.LOCAL, CloneScheme.NONLOCAL])
 def test_remix_check_holds_its_tolerance_edge(scheme, monkeypatch):
     # shift only the direct channel on the (N, 4, 4) stack, not the (N, 4, 4, 4) projector clones
-    original = CloneScheme.apply
+    original = _channel
     delta = {}
 
-    def shifted(self, rho):
-        out = original(self, rho)
+    def shifted(scheme, rho):
+        out = original(scheme, rho)
         if rho.ndim == 3:
             out = out.copy()
             out[-1, 0, 0] += delta["value"]
         return out
 
-    monkeypatch.setattr(CloneScheme, "apply", shifted)
+    monkeypatch.setattr(cloning, "_channel", shifted)
     stack = np.stack([_bell_density(BellKind.PSI_MINUS, np.sqrt(0.5)), np.eye(4) / 4.0])
     singlet = stack[0]
     delta["value"] = REMIX_TOL / 2
@@ -226,10 +227,10 @@ def test_remix_check_holds_its_tolerance_edge(scheme, monkeypatch):
     "scheme, lowest", [(CloneScheme.PURE, 0.0), (CloneScheme.LOCAL, 1.0 / 36.0), (CloneScheme.NONLOCAL, 0.1)]
 )
 def test_every_scheme_is_completely_positive_and_trace_preserving(scheme, lowest):
-    # apply is affine; its linear extension L(X) = apply(X) - (1 - tr X) apply(0) is the channel
+    # _channel is affine; its linear extension L(X) = _channel(X) - (1 - tr X) _channel(0) is the channel
     units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # units[4 i + j] = |i><j|
     traces = np.trace(units, axis1=-2, axis2=-1)
-    images = scheme.apply(units) - (1.0 - traces)[:, None, None] * scheme.apply(np.zeros((4, 4)))
+    images = _channel(scheme, units) - (1.0 - traces)[:, None, None] * _channel(scheme, np.zeros((4, 4)))
     # Choi matrix sum_ij |i><j| (x) L(|i><j|), indexed [(i, a), (j, b)]
     choi = images.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
     assert np.abs(choi - choi.conj().T).max() == 0.0

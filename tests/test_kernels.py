@@ -45,7 +45,7 @@ import entclone
 from entclone import cli, cloning, separability, states
 from entclone.bell import _PAULI_PAIRS, BMAX_RESTARTS, _bmax, _chsh, _correlations
 from entclone.cli import _BLOCK, _clone_block, main
-from entclone.cloning import REMIX_TOL, _iterate, bell_clone
+from entclone.cloning import REMIX_TOL, _channel, _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof, _spin_flip
 from entclone.linalg import (
     HERMITIAN_TOL,
@@ -101,8 +101,8 @@ def _stacked_kernels(rhos):
     low, entangled = _verdict(rhos, PPT_TOL)
     return [
         t, _chsh(t, cfg), _bmax(t), values, vectors, _psd_root(spectra), lambdas, c, low,
-        entangled, _transpose_second(rhos), CloneScheme.LOCAL.apply(rhos),
-        CloneScheme.NONLOCAL.apply(rhos),
+        entangled, _transpose_second(rhos), _channel(CloneScheme.LOCAL, rhos),
+        _channel(CloneScheme.NONLOCAL, rhos),
     ]
 
 
@@ -232,35 +232,46 @@ def test_interval_has_the_bits_of_a_sequential_bisection(scheme, tol):
 
 @pytest.mark.parametrize(
     "scheme, tol, stacks",
-    [("pure", 0.1, 1), ("pure", 1e-8, 4), ("pure", 1e-14, 5), ("local", 0.1, 1), ("local", 1e-8, 3),
-     ("local", 1e-14, 3), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 3), ("nonlocal", 1e-14, 4)],
+    [("pure", 0.1, 1), ("pure", 1e-8, 2), ("pure", 1e-14, 2), ("local", 0.1, 1), ("local", 1e-8, 2),
+     ("local", 1e-14, 2), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 2), ("nonlocal", 1e-14, 2)],
 )
 def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monkeypatch):
     # each stacked PPT solve holds both endpoints' midpoints, the first the top four levels of both bisection trees;
-    # pure is entangled on all of (0, 1), so its endpoints lie next to 0 and 1 and every guess extrapolates from
-    # samples on one side: 4 and 5 stacks at 1e-8 and 1e-14, where a first path heading for the unsampled end took 1
+    # each PT margin is affine in alpha beta near its root, so the secant guess lands there and the second stack's
+    # paths run down to tol
     calls = count_solves(monkeypatch)
     entanglement_interval(scheme, tol)
     assert calls == {"eigh": 0, "eigvalsh": stacks}
 
 
+def test_interval_guess_keeps_a_root_next_to_zero(monkeypatch):
+    # pure's low root is alpha beta = PPT_TOL, alpha^2 about 1e-20, which 1/2 - sqrt(1/4 - u^2) rounds to 0: mapped
+    # back that way the guess made 17 stacks; the high endpoint stalls next to 1
+    calls = count_solves(monkeypatch)
+    with pytest.raises(NoConvergenceError) as raised:
+        entanglement_interval("pure", 1e-30)
+    assert str(raised.value) == "bisection stalled at alpha^2 bracket [0.9999999999999999, 1.0], wider than tol 1e-30"
+    assert calls == {"eigh": 0, "eigvalsh": 3}
+
+
 def test_interval_stacks_over_the_bench_tolerances(monkeypatch):
     # the 17 tolerances of the single-state benchmark's interval ops (1e-14, 3e-14, ..., 3e-7, 1e-6), local and
-    # non-local; with paths run down to tol they took 146 stacks and 6910 clones
+    # non-local; with paths run down to tol they took 146 stacks and 6910 clones, and with
+    # Neville-guessed paths cut at a tenth of the guess's error 106 and 3206
     calls, clones, verdict = count_solves(monkeypatch), [], separability._verdict
     monkeypatch.setattr(separability, "_verdict", lambda rhos, *args: clones.append(len(rhos)) or verdict(rhos, *args))
     for scheme in ("local", "nonlocal"):
         for tol in [float(f"{m}e-{e}") for e in range(14, 6, -1) for m in (1, 3)] + [1e-6]:
             entanglement_interval(scheme, tol)
-    assert calls == {"eigh": 0, "eigvalsh": 106}
-    assert (len(clones), sum(clones)) == (106, 3206)
+    assert calls == {"eigh": 0, "eigvalsh": 68}
+    assert (len(clones), sum(clones)) == (68, 2968)
 
 
 @pytest.mark.parametrize("tol", [0.3, 0.1, 1e-6, 1e-14])
 def test_interval_progresses_when_every_prediction_is_wrong(tol, monkeypatch):
     # a verdict contradicting each prediction a path makes: past the first stack's tree the walk settles one level
-    # per stack, the bracket of a sequential bisection under the same verdicts; equal margins leave nothing to
-    # interpolate, so each guess is the bracket middle
+    # per stack, the bracket of a sequential bisection under the same verdicts; a guess is the bracket middle only
+    # when the two nearest margins are equal, and else the secant root between two margins of opposite sign
     paths, verdicts, stacks = [], {}, []
 
     def recording_path(ends, samples, tol):
@@ -338,7 +349,7 @@ def test_concurrence_of_a_reused_decomposition_equals_a_fresh_solve():
 
 
 def _allocating_apply(scheme, rho):
-    # CloneScheme.apply as it built its identity terms on every call
+    # _channel as it built its identity terms on every call
     if scheme is CloneScheme.PURE:
         return rho
     if scheme is CloneScheme.NONLOCAL:
@@ -440,7 +451,7 @@ def test_channels_build_no_identity_per_call(monkeypatch):
     stack = psi_minus(np.linspace(0.0, 1.0, 5))
     for scheme in CloneScheme:
         for rhos in (stack[0], stack[:1], stack):
-            scheme.apply(rhos)
+            _channel(scheme, rhos)
     assert built == []
 
 
@@ -481,7 +492,7 @@ _BMAX_STATES = {
     "random_14": random_density(np.random.default_rng(74)),
     # T singular values 1, 0.96, 0.96 (then 3/5 of each): no restart repeats exactly within 300 iterations
     "psi_minus_0.8": psi_minus(0.8),
-    "psi_minus_0.8_shrunk": CloneScheme.NONLOCAL.apply(psi_minus(0.8)),
+    "psi_minus_0.8_shrunk": _channel(CloneScheme.NONLOCAL, psi_minus(0.8)),
 }
 
 
@@ -559,7 +570,7 @@ _PROGRAM_ALPHAS = {
 @given(st.lists(st.floats(0.0, 1.0), max_size=40))
 def test_bell_clone_has_the_bytes_of_the_checked_builders(scheme, name, drawn):
     alphas = np.concatenate([_PROGRAM_ALPHAS[name], drawn])
-    checked = scheme.apply(density_from_pure(bell_state(BellKind.PSI_MINUS, alphas)))
+    checked = _channel(scheme, density_from_pure(bell_state(BellKind.PSI_MINUS, alphas)))
     assert bell_clone(scheme, alphas).tobytes() == checked.tobytes()
 
 
@@ -702,4 +713,4 @@ def test_public_measures_take_one_state_not_a_stack(measure):
 def test_cloning_never_increases_eof(rho):
     before = entanglement_of_formation(rho)
     for scheme in (CloneScheme.LOCAL, CloneScheme.NONLOCAL):
-        assert entanglement_of_formation(scheme.apply(rho)) <= before + 1e-12
+        assert entanglement_of_formation(_channel(scheme, rho)) <= before + 1e-12
