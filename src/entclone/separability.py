@@ -61,57 +61,49 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     return SeparabilityVerdict(float(low[0]), bool(entangled[0]))
 
 
-# an interval's first stack holds the top _TREE_DEPTH levels of each endpoint's bisection tree, which always leaves the
-# two samples a guess needs; each later stack a path toward the root guessed from the two samples nearest the bracket
-_TREE_DEPTH = 4
+# an interval's first stack cuts each endpoint's bracket into _GRID equal steps, ends included: the top levels of its
+# bisection tree, so every bracket it walks to has stacked ends; each later stack a path toward a root guessed from them
+_GRID = 16
 
 
-def _guess(ends: list[float], samples: dict[float, tuple[float, bool]]) -> float:
-    # the secant root, in u = alpha beta, of the PT margin through the two samples nearest the bracket middle, mapped
-    # back to alpha^2 on the bracket's side of 1/2; the margin is affine in u near each root, so the secant is exact
-    # there.  u^2 / (1/2 + sqrt(1/4 - u^2)) is 1/2 - sqrt(1/4 - u^2) without its cancellation near u = 0.  The
-    # bracket middle if the two margins are equal
-    middle = (ends[0] + ends[1]) / 2
-    (x0, (g0, _)), (x1, (g1, _)) = sorted(samples.items(), key=lambda item: abs(item[0] - middle))[:2]
-    if g0 == g1:
-        return middle
+def _guess(ends: list[float], samples: dict[float, float]) -> float:
+    # regula falsi in u = alpha beta: the secant root of the PT margin through the bracket's two ends, mapped back to
+    # alpha^2 on the bracket's side of 1/2; the margin is affine in u near each root, so the secant is exact there.
+    # u^2 / (1/2 + sqrt(1/4 - u^2)) is 1/2 - sqrt(1/4 - u^2) without its cancellation near u = 0.  The bracket middle
+    # if the two margins share a sign, which only contrived verdicts give; else u lies between the ends' u <= 1/2
+    (x0, x1), (g0, g1) = ends, (samples[end] for end in ends)
+    if (g0 < 0.0) == (g1 < 0.0):
+        return (x0 + x1) / 2
     u0, u1 = math.sqrt(x0 * (1.0 - x0)), math.sqrt(x1 * (1.0 - x1))
     u = u0 - g0 * (u1 - u0) / (g1 - g0)
     low = u * u / (0.5 + math.sqrt(0.25 - u * u))
-    return low if middle < 0.5 else 1.0 - low
+    return low if x0 < 0.5 else 1.0 - low
 
 
-def _path(ends: list[float], samples: dict[float, tuple[float, bool]], tol: float) -> list[float]:
-    # the midpoints to stack for ends = [separable_end, entangled_end]: with no samples yet every midpoint of the top
-    # _TREE_DEPTH bisection levels; else, from the bracket's own midpoint on, those a sequential bisection visits if
-    # each falls on the side of the guessed root, down to tol or a stall
-    if not samples:
-        brackets, mids = [tuple(ends)], []
-        for _ in range(_TREE_DEPTH):
-            if abs(brackets[0][1] - brackets[0][0]) <= tol:
-                break
-            halves = [(sep + ent) / 2 for sep, ent in brackets]
-            mids += halves
-            brackets = [half for (sep, ent), mid in zip(brackets, halves) for half in ((sep, mid), (mid, ent))]
-        return mids
-    guess = _guess(ends, samples)
+def _path(ends: list[float], samples: dict[float, float], tol: float) -> list[float]:
+    # the points to stack for ends = [separable_end, entangled_end]: with no samples yet the _GRID + 1 grid points;
+    # else, from the bracket's own midpoint on, those a sequential bisection visits if each falls on the side of the
+    # guessed root, down to tol or a stall
     (sep, ent), mids = ends, []
+    if not samples:
+        return [sep + (ent - sep) * k / _GRID for k in range(_GRID + 1)]
+    guess = _guess(ends, samples)
     while abs(ent - sep) > tol and (mid := (sep + ent) / 2) not in (sep, ent):
         mids.append(mid)
         sep, ent = (mid, ent) if (mid < guess) == (sep < ent) else (sep, mid)
     return mids
 
 
-def _walk(ends: list[float], samples: dict[float, tuple[float, bool]], tol: float) -> str | None:
-    # narrows ends while their midpoint has a verdict in samples; returns the stall message if the midpoint fails to
-    # split them, tested first because such a midpoint is an end, and so a sample
+def _walk(ends: list[float], samples: dict[float, float], tol: float) -> str | None:
+    # narrows ends while their midpoint has a margin in samples, negative where _verdict reads entangled; returns the
+    # stall message if the midpoint fails to split them, tested first because such a midpoint is an end, and so a sample
     while abs(ends[1] - ends[0]) > tol:
         mid = (ends[0] + ends[1]) / 2
         if mid in ends:
-            return "bisection stalled at alpha^2 bracket [{!r}, {!r}], wider than tol {:g}".format(*sorted(ends), tol)
+            return f"bisection stalled at alpha^2 bracket [{min(ends)!r}, {max(ends)!r}], wider than tol {tol:g}"
         if mid not in samples:
             break
-        ends[samples[mid][1]] = mid
+        ends[samples[mid] < 0.0] = mid
     return None
 
 
@@ -126,14 +118,14 @@ def entanglement_interval(
     symmetric about 1/2 and contains it; ``tol`` must be a finite positive
     real (not a bool), as an infinite one would end the bisection before its
     first step.  The brackets are those of a bisection with one PPT probe per
-    step, but the probes are stacked.  The first stacked PPT test holds the
-    top four levels of each endpoint's bisection tree, which always leaves
-    the two samples a guess needs.  Each later one holds, per endpoint still
-    wider than ``tol``, the midpoints a sequential bisection visits down to
-    ``tol`` if each falls on the side of a root guessed by a secant in
-    alpha beta through the two evaluated PT margins nearest the bracket.
-    An endpoint settles every midpoint of its bracket that has a verdict, so
-    each stack settles at least one level.  Raises
+    step, but the probes are stacked.  The first stacked PPT test holds each
+    endpoint's bracket cut into 16 equal steps, ends included, so every
+    bracket an endpoint walks to has two evaluated ends.  Each later one
+    holds, per endpoint still wider than ``tol``, the midpoints a sequential
+    bisection visits down to ``tol`` if each falls on the side of a root
+    guessed by regula falsi in alpha beta through the PT margins at the
+    bracket's ends.  An endpoint settles every midpoint of its bracket that
+    has a margin, so each stack settles at least one level.  Raises
     NoConvergenceError when ``tol`` is below the float spacing at an
     endpoint, so that the midpoint no longer splits the bracket; a
     high-endpoint stall is reported only after the low endpoint converges.
@@ -141,18 +133,17 @@ def entanglement_interval(
     scheme = _member(CloneScheme, scheme, "scheme")
     if not _real(tol) or not 0.0 < tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and positive, got {tol}")
-    # [separable_end, entangled_end] of the low and the high endpoint, and each one's samples: every midpoint it has
-    # stacked, with its PT margin low + PPT_TOL and its verdict; every round stacks the paths of the endpoints still
-    # walking, and each walks its own samples
+    # [separable_end, entangled_end] of the low and the high endpoint, and each one's samples: every point it has
+    # stacked, with its PT margin low + PPT_TOL, whose sign is _verdict's (the sum is exact within a factor 2 of
+    # -PPT_TOL); every round stacks the paths of the endpoints still walking, and each walks its own samples
     ends, samples, stalls = [[0.0, 0.5], [1.0, 0.5]], [{}, {}], [None, None]
     while walking := [k for k in (0, 1) if stalls[k] is None and abs(ends[k][1] - ends[k][0]) > tol]:
         paths = [_path(ends[k], samples[k], tol) for k in walking]
-        low, entangled = _verdict(bell_clone(scheme, np.sqrt([mid for path in paths for mid in path])))
-        verdicts = list(zip((low + PPT_TOL).tolist(), entangled.tolist()))
+        margins = (_verdict(bell_clone(scheme, np.sqrt(np.concatenate(paths))))[0] + PPT_TOL).tolist()
         for k, path in zip(walking, paths):
-            samples[k].update(zip(path, verdicts))
+            samples[k].update(zip(path, margins))
             stalls[k] = _walk(ends[k], samples[k], tol)
-            verdicts = verdicts[len(path):]
+            margins = margins[len(path):]
     # as in a sequential bisection, low then high: a high-endpoint stall is reported only if the low endpoint converges
     for stall in stalls:
         if stall is not None:

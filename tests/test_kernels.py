@@ -230,15 +230,16 @@ def test_interval_has_the_bits_of_a_sequential_bisection(scheme, tol):
     assert _outcome(entanglement_interval, scheme, tol) == _outcome(_sequential_interval, scheme, tol)
 
 
-@pytest.mark.parametrize(
-    "scheme, tol, stacks",
-    [("pure", 0.1, 1), ("pure", 1e-8, 2), ("pure", 1e-14, 2), ("local", 0.1, 1), ("local", 1e-8, 2),
-     ("local", 1e-14, 2), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 2), ("nonlocal", 1e-14, 2)],
-)
+_STACKS = [("pure", 0.1, 1), ("pure", 1e-8, 2), ("pure", 1e-14, 2), ("local", 0.1, 1), ("local", 1e-8, 2),
+           ("local", 1e-14, 2), ("nonlocal", 0.1, 1), ("nonlocal", 1e-8, 2), ("nonlocal", 1e-14, 2)]
+
+
+# ids of scheme and tol only, so that a moved stack count changes an assertion and not a test name
+@pytest.mark.parametrize("scheme, tol, stacks", _STACKS, ids=[f"{scheme}-{tol}" for scheme, tol, _ in _STACKS])
 def test_interval_bisects_both_endpoints_in_one_stack(scheme, tol, stacks, monkeypatch):
-    # each stacked PPT solve holds both endpoints' midpoints, the first the top four levels of both bisection trees;
-    # each PT margin is affine in alpha beta near its root, so the secant guess lands there and the second stack's
-    # paths run down to tol
+    # each stacked PPT solve holds both endpoints' points, the first each bracket cut into 16 steps, ends included;
+    # each PT margin is affine in alpha beta near its root, so regula falsi through the ends of the walked bracket
+    # lands there and the second stack's paths run down to tol
     calls = count_solves(monkeypatch)
     entanglement_interval(scheme, tol)
     assert calls == {"eigh": 0, "eigvalsh": stacks}
@@ -251,7 +252,47 @@ def test_interval_guess_keeps_a_root_next_to_zero(monkeypatch):
     with pytest.raises(NoConvergenceError) as raised:
         entanglement_interval("pure", 1e-30)
     assert str(raised.value) == "bisection stalled at alpha^2 bracket [0.9999999999999999, 1.0], wider than tol 1e-30"
-    assert calls == {"eigh": 0, "eigvalsh": 3}
+    assert calls == {"eigh": 0, "eigvalsh": 2}
+
+
+def test_interval_guess_is_the_bracket_middle_when_the_end_margins_share_a_sign():
+    # only contrived verdicts give such ends; the middle keeps math.sqrt's argument non-negative for any of them
+    for ends, margins in (([0.0, 0.5], (1.0, 2.0)), ([1.0, 0.5], (-1.0, -3.0)), ([0.25, 0.375], (0.0, -0.0))):
+        assert separability._guess(ends, dict(zip(ends, margins))) == (ends[0] + ends[1]) / 2
+
+
+@pytest.mark.parametrize("scheme", [scheme.value for scheme in CloneScheme])
+def test_interval_guess_lies_inside_the_first_walked_bracket(scheme, monkeypatch):
+    # the real margins at the ends each endpoint walks to through the first stack give a guess inside them
+    brackets = []
+
+    def recording_path(ends, samples, tol):
+        if samples:
+            brackets.append((list(ends), dict(samples)))
+        return separability_path(ends, samples, tol)
+
+    separability_path = separability._path
+    monkeypatch.setattr(separability, "_path", recording_path)
+    entanglement_interval(scheme, 1e-14)
+    assert [ends[0] < 0.5 for ends, _ in brackets[:2]] == [True, False]
+    for ends, samples in brackets[:2]:
+        guess = separability._guess(ends, samples)
+        if scheme == "pure" and ends[0] == 1.0:
+            # pure's high root, 1 - alpha^2 about 1e-20, rounds onto the bracket's end
+            assert guess == 1.0
+        else:
+            assert min(ends) < guess < max(ends)
+
+
+def test_interval_takes_at_most_four_stacks_at_any_tolerance(monkeypatch):
+    # 40 log-spaced tolerances down to the smallest subnormal, most of them ending in a stall
+    calls = count_solves(monkeypatch)
+    for scheme in ("pure", "local", "nonlocal"):
+        for tol in np.logspace(np.log10(5e-324), np.log10(0.6), 40).tolist():
+            expected = _outcome(_sequential_interval, scheme, tol)
+            calls.update(eigvalsh=0)
+            assert _outcome(entanglement_interval, scheme, tol) == expected
+            assert calls["eigvalsh"] <= 4, (scheme, tol)
 
 
 def test_interval_stacks_over_the_bench_tolerances(monkeypatch):
@@ -264,14 +305,14 @@ def test_interval_stacks_over_the_bench_tolerances(monkeypatch):
         for tol in [float(f"{m}e-{e}") for e in range(14, 6, -1) for m in (1, 3)] + [1e-6]:
             entanglement_interval(scheme, tol)
     assert calls == {"eigh": 0, "eigvalsh": 68}
-    assert (len(clones), sum(clones)) == (68, 2968)
+    assert (len(clones), sum(clones)) == (68, 3104)
 
 
 @pytest.mark.parametrize("tol", [0.3, 0.1, 1e-6, 1e-14])
 def test_interval_progresses_when_every_prediction_is_wrong(tol, monkeypatch):
-    # a verdict contradicting each prediction a path makes: past the first stack's tree the walk settles one level
-    # per stack, the bracket of a sequential bisection under the same verdicts; a guess is the bracket middle only
-    # when the two nearest margins are equal, and else the secant root between two margins of opposite sign
+    # a verdict contradicting each prediction a path makes: past the first stack's grid the walk settles one level
+    # per stack, the bracket of a sequential bisection under the same verdicts; a guess is the bracket middle when
+    # the margins at the bracket's ends share a sign, and else regula falsi between them
     paths, verdicts, stacks = [], {}, []
 
     def recording_path(ends, samples, tol):
@@ -283,7 +324,7 @@ def test_interval_progresses_when_every_prediction_is_wrong(tol, monkeypatch):
         flags = []
         for rising, path in paths:
             # a path predicts mid entangled when its next midpoint lies on the separable side of mid; the first
-            # stack's tree predicts nothing, and its midpoints get the flags this rule gives their order
+            # stack's grid predicts nothing, and its points get the flags this rule gives their order
             flags += [(after < mid) != rising for mid, after in zip(path, path[1:])] + [False]
             verdicts.update(zip(path, flags[-len(path):]))
         paths.clear()
@@ -543,7 +584,7 @@ def test_stacked_bell_builder_equals_its_scalar_calls(alphas, kind):
 
 
 def _first_interval_stack(tol):
-    # the amplitudes of the first stack entanglement_interval clones: both endpoints' predicted paths
+    # the amplitudes of the first stack entanglement_interval clones: both endpoints' brackets cut into 16 steps
     stacks = []
 
     def recording(scheme, alphas):

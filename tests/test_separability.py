@@ -51,6 +51,23 @@ def test_ppt_verdict_holds_its_tolerance_edge():
     assert np.allclose(low, [-PPT_TOL / 2, -2 * PPT_TOL], rtol=1e-6, atol=0.0)
 
 
+def test_interval_margin_sign_is_the_verdict():
+    # entanglement_interval keeps only the PT margin low + PPT_TOL and reads entangled where it is negative: the sum
+    # is exact within a factor 2 of -PPT_TOL (Sterbenz), and outside that its sign cannot flip.  A diagonal stack is
+    # its own partial transpose, so _verdict returns these lows exactly
+    below, above = [-PPT_TOL], [-PPT_TOL]
+    for _ in range(2):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    lows = below[:0:-1] + above + [-2 * PPT_TOL, -PPT_TOL / 2, 0.0, -0.0]
+    diagonal = np.array([np.diag([low, 1.0, 1.0, 1.0]) for low in lows], dtype=complex)
+    half, twice = werner((1.0 + 2 * PPT_TOL) / 3.0), werner((1.0 + 8 * PPT_TOL) / 3.0)
+    low, entangled = _verdict(np.concatenate([diagonal, [half, twice]]))
+    assert low[: len(lows)].tolist() == lows
+    assert entangled.tolist() == [True, True, False, False, False, True, False, False, False, False, True]
+    assert [margin < 0.0 for margin in (low + PPT_TOL).tolist()] == entangled.tolist()
+
+
 @pytest.mark.parametrize(
     "tol", [float("nan"), -1.0, -1e-300, float("inf"), float("-inf"), True, np.True_, False, "0.1", None, 1j, [0.1]]
 )
