@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _count, _member, _partial_trace
+from .linalg import SpectralDecomposition, _count, _member, _partial_trace, _Vocabulary
 from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack
 
 __all__ = [
@@ -49,7 +49,7 @@ _QUBIT_PAIR_NOISE = np.eye(4) / 36.0
 _EYE2 = np.eye(2)
 
 
-class CloneScheme(enum.Enum):
+class CloneScheme(enum.Enum, metaclass=_Vocabulary):
     """The channel a two-qubit state passes through; PURE is the identity."""
 
     PURE = "pure"
@@ -88,21 +88,16 @@ def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSche
     yield rhos, spectra
     for _ in range(n):
         weights, vectors = spectra
-        # (N, 4, 4, 4): the projector of eigenvector k of row r at [r, k]; the remix check vets eigh's norms
+        # (N, 4, 4, 4), fresh for every scheme (PURE returns it) and so weighted in place; C-ordered, the clone of
+        # eigenvector k of row r is the contiguous 4x4 at [r, k], so the reduce adds whole clones in k order from +0.0:
+        # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The remix check vets eigh's norms
         kets = vectors.swapaxes(-1, -2)
-        # a fresh array for every scheme (PURE returns the projector stack made here), so it is weighted in place
-        clones = _channel(scheme, kets[..., :, None] * kets.conj()[..., None, :])
+        clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
         np.multiply(weights[:, :, None, None], clones, out=clones)
-        # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 in one buffer; a .sum over k reorders the additions,
-        # and the + 0.0 turns an entry that is -0.0 in every term into the +0.0 a sum from zero gives
-        remixed = clones[:, 0] + 0.0
-        for k in range(1, 4):
-            remixed += clones[:, k]
+        remixed = np.add.reduce(clones, axis=1, initial=0.0)
         gap = float(np.abs(remixed - _channel(scheme, rhos)).max())
         if gap > REMIX_TOL:
-            raise RuntimeError(
-                f"eigenbasis remixing deviates from the direct channel by {gap:.3e}"
-            )
+            raise RuntimeError(f"eigenbasis remixing deviates from the direct channel by {gap:.3e}")
         rhos, spectra = remixed, _check_densities(remixed)
         yield rhos, spectra
 

@@ -6,10 +6,10 @@ maximum absolute entry difference.
 
 The private helpers (``_eigh``, ``_psd_eigh``, ``_psd_root``,
 ``_transpose_second``, ``_partial_trace``) act on every matrix of a stack of
-shape (..., n, n) and make each check once per stack; the public functions
-check one square matrix and call them.  The finite and Hermiticity checks are
-written once, in ``_eigh``, and the PSD_TOL floor once, in ``_psd_eigh``;
-``_psd_root`` builds the root from a ``_psd_eigh`` decomposition it is given.
+shape (..., n, n) and check once per stack; the public functions check one
+square matrix and call them.  ``_eigh`` holds the finite and Hermiticity
+checks and returns descending views of eigh's arrays, not copies; ``_psd_eigh``
+adds the PSD_TOL floor; ``_psd_root`` builds the root from its decomposition.
 """
 
 from __future__ import annotations
@@ -93,11 +93,18 @@ def _count(n) -> bool:
 
 
 def _member(kind: type[enum.Enum], value, name: str) -> enum.Enum:
-    # kind(value) for a member of kind or a string; anything else, an array among them, whose comparison in the
-    # enum's lookup would raise NumPy's ambiguous-truth error, is refused naming the parameter
+    # kind(value) by EnumMeta's lookup (a _Vocabulary enum's own call is this function) for a member or a string;
+    # anything else, an array among them, whose comparison in that lookup raises NumPy's ambiguous-truth error, is
+    # refused naming the parameter
     if not isinstance(value, (kind, str)):
         raise ValueError(f"{name} must be a {kind.__name__} or its value, got {value!r}")
-    return kind(value)
+    return enum.EnumMeta.__call__(kind, value)
+
+
+class _Vocabulary(enum.EnumMeta):
+    # the metaclass of the exported enums, whose call takes a member or its value and refuses anything else by name
+    def __call__(cls, value):
+        return _member(cls, value, cls.__name__)
 
 
 def _require_two_qubit(m: np.ndarray) -> np.ndarray:
@@ -120,7 +127,7 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
             values, vectors = np.linalg.eigh((m + m_dagger) / 2)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
-    return SpectralDecomposition(values[..., ::-1].copy(), vectors[..., ::-1].copy())
+    return SpectralDecomposition(values[..., ::-1], vectors[..., ::-1])
 
 
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:

@@ -107,9 +107,7 @@ def _walk(ends: list[float], samples: dict[float, float], tol: float) -> str | N
     return None
 
 
-def entanglement_interval(
-    scheme: CloneScheme | str, tol: float = BISECTION_TOL
-) -> AlphaSquaredInterval:
+def entanglement_interval(scheme: CloneScheme | str, tol: float = BISECTION_TOL) -> AlphaSquaredInterval:
     """Bisect for the alpha^2 interval on which the scheme output is entangled.
 
     ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");

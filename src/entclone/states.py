@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadDimensionError, BadTraceError, NotNormalizedError, OutOfRangeError
-from .linalg import SpectralDecomposition, _as_square, _member, _numeric, _psd_eigh, _require_two_qubit
+from .linalg import SpectralDecomposition, _as_square, _member, _numeric, _psd_eigh, _require_two_qubit, _Vocabulary
 
 __all__ = [
     "BellKind",
@@ -31,7 +31,7 @@ NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
 
 
-class BellKind(enum.Enum):
+class BellKind(enum.Enum, metaclass=_Vocabulary):
     PSI_MINUS = "psi_minus"
     PSI_PLUS = "psi_plus"
     PHI_MINUS = "phi_minus"

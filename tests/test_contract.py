@@ -111,6 +111,9 @@ _NAMED_CALLS = {
     "iterate(scheme)": (lambda value: entclone.iterate(_RHO, value, 1), "scheme"),
     "entanglement_interval(scheme)": (lambda value: entclone.entanglement_interval(value), "scheme"),
     "bell_state(kind)": (lambda value: entclone.bell_state(value, 0.6), "kind"),
+    # the enums' own lookup compared an array with each member's value; refused naming the class
+    "CloneScheme": (entclone.CloneScheme, "CloneScheme"),
+    "BellKind": (entclone.BellKind, "BellKind"),
 }
 
 
