@@ -143,6 +143,7 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     if not _count(seed):
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
     t = correlation_matrix(rho)
+    t_t = t.T
     n = BMAX_RESTARTS
     # b and b' (then a and a') stacked as rows [:n] and [n:], so each half-step is one product;
     # every step writes into buffers made here
@@ -155,34 +156,35 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
     size = _CYCLE_LAGS + 1
     history = np.full((size, 2 * n, 3), np.nan)
     halves = [(b[:n], b[n:]) for b in history]
-
-    def row_norms(rows):
-        # np.linalg.norm(rows, axis=1): add.reduce sums a length-3 axis left to right
-        np.multiply(rows, rows, out=sq)
-        np.add(sq_x, sq_y, out=norm)
-        np.add(norm, sq_z, out=norm)
-        return np.sqrt(norm, out=norm)
+    # bound per call, not at import, so a patched NumPy function is the one called
+    add, subtract, multiply, divide, sqrt, matmul, least = (
+        np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.matmul, np.minimum.reduce)
 
     def unit_rows(rows, out):
-        # rows scaled to unit length into out; a row of norm <= 1e-15 is divided by inf and comes out zero.
-        # The inf divisor is built only when some row needs it: building it every time cost 5 % of the
+        # rows scaled to unit length into out. The norm is np.linalg.norm(rows, axis=1), as add.reduce sums
+        # a length-3 axis: left to right. A row of norm <= 1e-15 is divided by inf and comes out zero; the inf
+        # divisor is built only when some row needs it, since building it every time cost 5 % of the
         # single-state workload's ops_per_s
-        row_norms(rows)
-        np.divide(rows, norms if norms.min() > 1e-15 else np.where(norms > 1e-15, norms, np.inf), out=out)
+        multiply(rows, rows, out=sq)
+        add(sq_x, sq_y, out=norm)
+        add(norm, sq_z, out=norm)
+        sqrt(norm, out=norm)
+        divide(rows, norms if least(norm) > 1e-15 else np.where(norms > 1e-15, norms, np.inf), out=out)
 
     unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)), history[0])
     b = history[_BMAX_ITERATIONS % size]  # iteration 300's slot, unless the loop stops early
     for k in range(1, _BMAX_ITERATIONS + 1):
         b_lo, b_hi = halves[(k - 1) % size]
-        np.add(b_lo, b_hi, out=s_lo)
-        np.subtract(b_hi, b_lo, out=s_hi)
-        unit_rows(np.matmul(s, t.T, out=p), a)
-        np.subtract(a_lo, a_hi, out=s_lo)
-        np.add(a_lo, a_hi, out=s_hi)
-        unit_rows(np.matmul(s, t, out=p), history[k % size])
+        current = history[k % size]
+        add(b_lo, b_hi, out=s_lo)
+        subtract(b_hi, b_lo, out=s_hi)
+        unit_rows(matmul(s, t_t, out=p), a)
+        subtract(a_lo, a_hi, out=s_lo)
+        add(a_lo, a_hi, out=s_hi)
+        unit_rows(matmul(s, t, out=p), current)
         if k % _CYCLE_STRIDE == 0:
             # [slot, restart]: both rows of the restart equal their value in that slot; an .all(-1) costs more
-            equal = history == history[k % size]
+            equal = history == current
             equal = equal[:, :n] & equal[:, n:]
             equal = equal[..., 0] & equal[..., 1] & equal[..., 2]
             equal[k % size] = False
@@ -193,7 +195,7 @@ def bmax_numeric(rho: np.ndarray, seed: int = 0) -> float:
                 slots = (k - period + (_BMAX_ITERATIONS - k) % period) % size
                 b = history[np.tile(slots, 2), np.arange(2 * n)]
                 break
-    np.add(b[:n], b[n:], out=s_lo)
-    np.subtract(b[n:], b[:n], out=s_hi)
-    values = row_norms(np.matmul(s, t.T, out=p))
-    return float((values[:n] + values[n:]).max())
+    add(b[:n], b[n:], out=s_lo)
+    subtract(b[n:], b[:n], out=s_hi)
+    unit_rows(matmul(s, t_t, out=p), a)  # only for the row norms it leaves in norm
+    return float((norm[:n] + norm[n:]).max())

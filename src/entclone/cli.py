@@ -73,7 +73,7 @@ _positive_float = _arg_type(float, "a number", [(lambda v: v > 0.0, "must be pos
                                                 (lambda v: v < np.inf, "must be finite")])
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="entclone", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
                          help="seed for the numerical cross-check restarts")
     analyze.set_defaults(run=_cmd_analyze)
 
-    return parser
+    return parser, sub.choices
 
 
 # rows measured per stack: bounds the (N, 3, 3, 4, 4) product behind T
@@ -203,11 +203,18 @@ def _cmd_analyze(args) -> int:
 
 
 # built once per process: parse_args keeps no state between calls
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    # one parse, by the subcommand's own parser; an argv it leaves words of, or one that names no subcommand,
+    # is parsed again from the top, so every usage error keeps the text and prog of the two-level parse
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extra:
+        args = _PARSER.parse_args(argv)
     return args.run(args)
 
 

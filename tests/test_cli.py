@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entclone import BellKind, ChshConfig, bell_state, density_from_pure, save_density, states
+from entclone import cli
 from entclone.cli import CSV_HEADER, MAX_GRID, main
 
 from helpers import package_env
@@ -187,6 +188,85 @@ def test_usage_errors_end_in_their_exact_message(argv, message, capsys):
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == message
+
+
+def _two_level(argv):
+    # main as it parsed before it went straight to the subcommand's parser: the top-level parser, which hands the
+    # rest of argv to the subcommand's parser and reports what that parser leaves
+    args = cli._PARSER.parse_args(argv)
+    return args.run(args)
+
+
+def run_two_level(argv, capsys):
+    try:
+        code = _two_level(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_PARSE_CORPUS = [
+    # the usage errors the benchmark times
+    ["sweep", "--scheme", "local", "--iterations", "2"],
+    ["sweep", "--scheme", "pure", "--iterations", "1"],
+    ["sweep", "--grid", "1"],
+    ["sweep", "--alpha", "1.5"],
+    ["table1", "--steps", "0"],
+    ["interval", "--scheme", "pure"],
+    ["interval", "--scheme", "local", "--tol", "0"],
+    ["analyze"],
+    [],
+    # help, from the top and from each subcommand
+    ["-h"],
+    ["--help"],
+    *([command, "--help"] for command in ("sweep", "table1", "interval", "analyze")),
+    # words the subcommand's parser leaves, and argvs that name no subcommand
+    ["sweep", "--bogus"],
+    ["sweep", "--grid", "5", "stray"],
+    ["bogus"],
+    ["--", "sweep"],
+    ["sweep", "--", "--grid"],
+    ["sweep", "--"],
+    ["table1", "--steps", "1", "--help", "stray"],
+    # valid argvs that lean on argparse: an abbreviated flag, a negative-looking value, a repeated flag
+    ["sweep", "--sch", "local"],
+    ["sweep", "--alpha", "-0.5"],
+    ["interval", "--scheme", "local", "--tol", "0.1", "--tol", "0.01"],
+    ["table1", "--steps", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_one_parse_has_the_bytes_of_the_two_level_parse(argv, capsys):
+    assert run_cli(argv, capsys) == run_two_level(argv, capsys)
+
+
+def test_one_parse_reads_sys_argv_like_the_two_level_parse(capsys, monkeypatch):
+    for argv in (["table1", "--steps", "1"], ["sweep", "--bogus"], []):
+        monkeypatch.setattr(sys, "argv", ["entclone", *argv])
+        expected = run_two_level(None, capsys)
+        assert run_cli(None, capsys) == expected == run_two_level(argv, capsys)
+
+
+def test_a_valid_argv_is_parsed_only_by_its_subcommand(tmp_path, capsys, monkeypatch):
+    original = cli._PARSER.parse_known_args
+    entered = []
+
+    def counting(*args, **kwargs):
+        entered.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", counting)
+    path = _write_state(tmp_path / "mixed.json", np.eye(4) / 4.0)
+    valid = (["sweep", "--grid", "2"], ["table1", "--steps", "1"], ["interval", "--scheme", "nonlocal", "--tol", "0.1"],
+             ["analyze", "--input", path, "--validate-bmax"], ("table1",))
+    for argv in valid:
+        assert run_cli(argv, capsys)[0] == 0
+    assert entered == []
+    # the counter is live: an argv with a word left over is parsed again from the top
+    assert run_cli(["sweep", "--bogus"], capsys)[0] == 1
+    assert len(entered) == 1
 
 
 def test_sweep_iterations_bound(capsys):

@@ -44,7 +44,16 @@ from entclone import (
 )
 import entclone
 from entclone import cli, cloning, separability, states
-from entclone.bell import _PAULI_PAIRS, BMAX_RESTARTS, _bmax, _chsh, _correlations
+from entclone.bell import (
+    _BMAX_ITERATIONS,
+    _CYCLE_LAGS,
+    _CYCLE_STRIDE,
+    _PAULI_PAIRS,
+    BMAX_RESTARTS,
+    _bmax,
+    _chsh,
+    _correlations,
+)
 from entclone.cli import _BLOCK, _clone_block, main
 from entclone.cloning import REMIX_TOL, _channel, _iterate, bell_clone
 from entclone.entanglement import _concurrence, _eof, _spin_flip
@@ -617,6 +626,68 @@ _BMAX_STATES = {
 def test_buffered_bmax_numeric_equals_the_allocating_loop(name):
     rho = _BMAX_STATES[name]
     expected = [_allocating_bmax_numeric(rho, seed).hex() for seed in range(4)]
+    assert [bmax_numeric(rho, seed).hex() for seed in range(4)] == expected
+
+
+def _buffered_bmax_numeric(rho, seed):
+    # the buffered loop as it ran before t.T was formed once per call: row_norms and unit_rows as nested calls,
+    # norms.min() as the guard's test, the current history slot indexed twice per iteration
+    t = correlation_matrix(rho)
+    n = BMAX_RESTARTS
+    a, s, p, sq = (np.empty((2 * n, 3)) for _ in range(4))
+    norms = np.empty((2 * n, 1))
+    a_lo, a_hi, s_lo, s_hi = a[:n], a[n:], s[:n], s[n:]
+    sq_x, sq_y, sq_z, norm = sq[:, 0], sq[:, 1], sq[:, 2], norms[:, 0]
+    size = _CYCLE_LAGS + 1
+    history = np.full((size, 2 * n, 3), np.nan)
+    halves = [(b[:n], b[n:]) for b in history]
+
+    def row_norms(rows):
+        np.multiply(rows, rows, out=sq)
+        np.add(sq_x, sq_y, out=norm)
+        np.add(norm, sq_z, out=norm)
+        return np.sqrt(norm, out=norm)
+
+    def unit_rows(rows, out):
+        row_norms(rows)
+        np.divide(rows, norms if norms.min() > 1e-15 else np.where(norms > 1e-15, norms, np.inf), out=out)
+
+    unit_rows(np.random.default_rng(seed).standard_normal((2 * n, 3)), history[0])
+    b = history[_BMAX_ITERATIONS % size]
+    for k in range(1, _BMAX_ITERATIONS + 1):
+        b_lo, b_hi = halves[(k - 1) % size]
+        np.add(b_lo, b_hi, out=s_lo)
+        np.subtract(b_hi, b_lo, out=s_hi)
+        unit_rows(np.matmul(s, t.T, out=p), a)
+        np.subtract(a_lo, a_hi, out=s_lo)
+        np.add(a_lo, a_hi, out=s_hi)
+        unit_rows(np.matmul(s, t, out=p), history[k % size])
+        if k % _CYCLE_STRIDE == 0:
+            equal = history == history[k % size]
+            equal = equal[:, :n] & equal[:, n:]
+            equal = equal[..., 0] & equal[..., 1] & equal[..., 2]
+            equal[k % size] = False
+            if equal.any(0).all():
+                period = (k - equal.argmax(0)) % size
+                slots = (k - period + (_BMAX_ITERATIONS - k) % period) % size
+                b = history[np.tile(slots, 2), np.arange(2 * n)]
+                break
+    np.add(b[:n], b[n:], out=s_lo)
+    np.subtract(b[n:], b[:n], out=s_hi)
+    values = row_norms(np.matmul(s, t.T, out=p))
+    return float((values[:n] + values[n:]).max())
+
+
+_LEANER_BMAX_STATES = {
+    **_BMAX_STATES,
+    **{f"random_full_rank_{k}": random_density(np.random.default_rng(900 + k)) for k in range(40)},
+}
+
+
+@pytest.mark.parametrize("name", list(_LEANER_BMAX_STATES))
+def test_bmax_numeric_equals_the_buffered_loop(name):
+    rho = _LEANER_BMAX_STATES[name]
+    expected = [_buffered_bmax_numeric(rho, seed).hex() for seed in range(4)]
     assert [bmax_numeric(rho, seed).hex() for seed in range(4)] == expected
 
 
