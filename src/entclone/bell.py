@@ -38,6 +38,11 @@ _CYCLE_LAGS = 32
 
 # sigma_i (x) sigma_j observables, shape (3, 3, 4, 4) indexed [i, j]
 _PAULI_PAIRS = np.array([[np.kron(a, b) for b in PAULIS] for a in PAULIS])
+# row l of each pair has its one nonzero entry P[l, k_l], so tr(rho P) = sum_l rho[k_l, l] P[l, k_l]: per pair the
+# flat index 4 k_l + l of the rho entry each term reads and its coefficient, shape (3, 3, 4) over l
+_PAIR_COLUMNS = np.abs(_PAULI_PAIRS).argmax(-1)
+_PAIR_INDEX = 4 * _PAIR_COLUMNS + np.arange(4)
+_PAIR_COEFFICIENTS = np.take_along_axis(_PAULI_PAIRS, _PAIR_COLUMNS[..., None], -1)[..., 0]
 
 
 def _unit_vector(v: np.ndarray) -> np.ndarray:
@@ -69,14 +74,16 @@ class ChshConfig:
 
 
 def _correlations(rhos: np.ndarray) -> np.ndarray:
-    # unchecked kernel of correlation_matrix: (N, 3, 3) from an (N, 4, 4) stack;
-    # tr(rho P) = sum_kl rho[k, l] P[l, k], so no product beyond the diagonal is formed
-    values = (rhos[:, None, None] * _PAULI_PAIRS.swapaxes(-1, -2)).sum((-2, -1))
+    # unchecked kernel of correlation_matrix: (N, 3, 3), C-ordered (_chsh rounds by T's layout), from an (N, 4, 4)
+    # stack. Each trace's four terms, C-ordered by take, are paired as NumPy's pairwise sum paired its 16 products,
+    # 12 of them exact zeros; + 0.0 turns a -0.0 sum into the +0.0 a valid density's positive diagonal gave there
+    terms = rhos.reshape(len(rhos), 16).take(_PAIR_INDEX, axis=1) * _PAIR_COEFFICIENTS
+    values = (terms[..., 0] + terms[..., 1]) + (terms[..., 2] + terms[..., 3])
     complex_entries = np.argwhere(np.abs(values.imag) > HERMITIAN_TOL)
     if len(complex_entries):
         n, i, j = complex_entries[0]
         raise NotHermitianError(f"correlation ({i},{j}) has imaginary part {values[n, i, j].imag:.3e}")
-    return values.real.copy()
+    return values.real + 0.0
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:

@@ -109,7 +109,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-# rows measured per stack: bounds the (N, 3, 3, 4, 4) product behind T
+# rows measured per stack: bounds each block's temporaries, the largest an iterate round's (N, 4, 4, 4) clones
 _BLOCK = 512
 
 

@@ -46,7 +46,6 @@ REMIX_TOL = 1e-10
 # the channels' constant terms, built once
 _REGISTER_NOISE = (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
 _QUBIT_PAIR_NOISE = np.eye(4) / 36.0
-_EYE2 = np.eye(2)
 
 
 class CloneScheme(enum.Enum, metaclass=_Vocabulary):
@@ -65,11 +64,12 @@ def _channel(scheme: CloneScheme, rhos: np.ndarray) -> np.ndarray:
         return rhos
     if scheme is CloneScheme.NONLOCAL:
         return REGISTER_SHRINK * rhos + _REGISTER_NOISE
-    rho_a = _partial_trace(rhos, (2, 2), "first")
-    rho_b = _partial_trace(rhos, (2, 2), "second")
-    # rho_a (x) I and I (x) rho_b: the products np.kron forms, broadcast over the stack
-    a_eye = (rho_a[..., :, None, :, None] * _EYE2[:, None, :]).reshape(rhos.shape)
-    eye_b = (_EYE2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rhos.shape)
+    # rho_a (x) I and I (x) rho_b, indexed [..., a, b, a', b'], copied into zeros: each nonzero entry is the product
+    # np.kron forms, and a zero whose sign differs from kron's is made +0.0 by the identity term
+    a_eye, eye_b = terms = np.zeros((2, *rhos.shape[:-2], 2, 2, 2, 2), dtype=complex)
+    a_eye[..., :, 0, :, 0] = a_eye[..., :, 1, :, 1] = _partial_trace(rhos, (2, 2), "first")
+    eye_b[..., 0, :, 0, :] = eye_b[..., 1, :, 1, :] = _partial_trace(rhos, (2, 2), "second")
+    a_eye, eye_b = terms.reshape(2, *rhos.shape)
     return (4.0 / 9.0) * rhos + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + _QUBIT_PAIR_NOISE
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _as_square, _eigh, _finite, _psd_root, _real, _require_two_qubit
+from .linalg import SpectralDecomposition, _as_square, _eigvalsh, _finite, _psd_root, _real, _require_two_qubit
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -33,8 +33,10 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
 
 
 def _spin_flip(rhos: np.ndarray) -> np.ndarray:
-    # + 0.0 turns the -0.0 that a sign flip makes of a zero into the +0.0 the matrix product gave
-    return _FLIP_SIGNS * rhos.conj()[..., ::-1, ::-1] + 0.0
+    # in one buffer; + 0.0 turns the -0.0 that a sign flip makes of a zero into the +0.0 the matrix product gave
+    flipped = np.conjugate(rhos[..., ::-1, ::-1])
+    np.multiply(_FLIP_SIGNS, flipped, out=flipped)
+    return np.add(flipped, 0.0, out=flipped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +50,7 @@ class ConcurrenceResult:
 def _concurrence(rhos: np.ndarray, spectra: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
     # unchecked kernel of concurrence: (N, 4) lambdas and (N,) C of validated 4x4 states and their decomposition
     root = _psd_root(spectra)
-    w = _eigh(root @ _spin_flip(rhos) @ root).eigenvalues
+    w = _eigvalsh(root @ _spin_flip(rhos) @ root)
     lambdas = np.sqrt(np.where(w < NOISE_FLOOR, 0.0, w))
     c = np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3])
     return lambdas, c

@@ -8,8 +8,9 @@ The private helpers (``_eigh``, ``_psd_eigh``, ``_psd_root``,
 ``_transpose_second``, ``_partial_trace``) act on every matrix of a stack of
 shape (..., n, n) and check once per stack; the public functions check one
 square matrix and call them.  ``_eigh`` holds the finite and Hermiticity
-checks and returns descending views of eigh's arrays, not copies; ``_psd_eigh``
-adds the PSD_TOL floor; ``_psd_root`` builds the root from its decomposition.
+checks and returns descending views of eigh's arrays, not copies (``_eigvalsh``
+the same checks and eigenvalues alone); ``_psd_eigh`` adds the PSD_TOL floor;
+``_psd_root`` builds the root from its decomposition.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def _require_two_qubit(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _eigh(m: np.ndarray) -> SpectralDecomposition:
-    # hermitian_eig of each matrix of a stack. Every non-finite entry makes the defect NaN or inf, so the finite
-    # check runs only when the Hermiticity test fails; entries near the float maximum overflow the defect, or fail eigh
+def _hermitian_solve(solver, m: np.ndarray):
+    # eigh or eigvalsh of the Hermitian part of each matrix of a stack. A non-finite entry makes the defect NaN or inf,
+    # so the finite check runs only if the Hermiticity test fails; entries near the float max overflow it or the solver
     with np.errstate(over="ignore", invalid="ignore"):
         m_dagger = _dagger(m)
         defect = float(np.abs(m - m_dagger).max())
@@ -124,10 +125,20 @@ def _eigh(m: np.ndarray) -> SpectralDecomposition:
             _finite(m)
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
         try:
-            values, vectors = np.linalg.eigh((m + m_dagger) / 2)
+            return solver((m + m_dagger) / 2)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
+
+
+def _eigh(m: np.ndarray) -> SpectralDecomposition:
+    # hermitian_eig of each matrix of a stack
+    values, vectors = _hermitian_solve(np.linalg.eigh, m)
     return SpectralDecomposition(values[..., ::-1], vectors[..., ::-1])
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    # _eigh's checks and descending eigenvalues by LAPACK's values-only path, whose rounding can differ from eigh's
+    return _hermitian_solve(np.linalg.eigvalsh, m)[..., ::-1]
 
 
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:

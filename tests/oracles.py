@@ -45,6 +45,43 @@ def symmetric_cloner_joint(rho: np.ndarray) -> np.ndarray:
     return (2.0 / (d + 1)) * sym @ np.kron(rho, np.eye(d)) @ sym
 
 
+def cloner_isometry(d: int) -> np.ndarray:
+    """The universal symmetric cloner with its machine, as a (d^3, d) isometry.
+
+    V|psi> = sqrt(2/(d+1)) sum_j S(|psi>|j>) (x) |j>_M maps the input into
+    copy (x) copy (x) machine, each of dimension d, with S the projector onto
+    the symmetric subspace of the two copies.  Tracing out the machine gives
+    symmetric_cloner_joint; nothing of the package enters.
+    """
+    eye = np.eye(d)
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    sym = (np.eye(d * d) + swap) / 2
+    # column j of eye is |j>, so np.kron(eye, ket) maps |psi> to |psi>|j>
+    return np.sqrt(2.0 / (d + 1)) * sum(np.kron(sym @ np.kron(eye, eye[:, [j]]), eye[:, [j]]) for j in range(d))
+
+
+def machine_joint_nonlocal(rho: np.ndarray) -> np.ndarray:
+    """Joint state of the first clone and the machine, 16x16 ordered (clone, machine).
+
+    cloner_isometry(4) copies the two-qubit state as one register; the
+    second copy is traced out.
+    """
+    v = cloner_isometry(4)
+    out = (v @ validate_density(rho) @ v.conj().T).reshape((4,) * 6)
+    return np.einsum("ajbcjd->abcd", out).reshape(16, 16)
+
+
+def machine_joint_local(rho: np.ndarray) -> np.ndarray:
+    """Joint state of both qubits' first clones and their machines, 16x16 ordered (A1, B1, M_A, M_B).
+
+    V_2 (x) V_2, one cloner_isometry(2) per qubit, maps qubits (A, B) into
+    (A1, A2, M_A, B1, B2, M_B); the second copies A2 and B2 are traced out.
+    """
+    v = np.kron(cloner_isometry(2), cloner_isometry(2))
+    out = (v @ validate_density(rho) @ v.conj().T).reshape((2,) * 12)
+    return np.einsum("axcdyfgxhiyk->adcfgihk", out).reshape(16, 16)
+
+
 def concurrence_xstate_oracle(rho: np.ndarray) -> float:
     """Closed-form concurrence for states with only diagonal and anti-diagonal entries.
 

@@ -15,6 +15,7 @@ from entclone import (
     clone_local,
     clone_nonlocal,
     density_from_pure,
+    entanglement_of_formation,
     iterate,
     partial_trace,
 )
@@ -24,7 +25,13 @@ from entclone.cloning import REMIX_TOL, _channel, _iterate, bell_clone
 from entclone.linalg import _psd_eigh
 
 from helpers import densities, random_density
-from oracles import shrink_channel, symmetric_cloner_joint
+from oracles import (
+    cloner_isometry,
+    machine_joint_local,
+    machine_joint_nonlocal,
+    shrink_channel,
+    symmetric_cloner_joint,
+)
 
 
 def _bell_density(kind, alpha):
@@ -236,3 +243,69 @@ def test_every_scheme_is_completely_positive_and_trace_preserving(scheme, lowest
     assert np.abs(choi - choi.conj().T).max() == 0.0
     assert abs(np.linalg.eigvalsh(choi)[0] - lowest) < 1e-12
     assert np.abs(np.trace(images, axis1=-2, axis2=-1) - traces).max() < 1e-15
+
+
+# the cloning machine itself: an explicit isometry onto two copies and a machine, then the partial traces
+MACHINE_TOL = 1e-15
+_MACHINES = {CloneScheme.LOCAL: machine_joint_local, CloneScheme.NONLOCAL: machine_joint_nonlocal}
+
+
+def _clone_and_machine(joint):
+    # the two marginals of a 16x16 joint state ordered (clone pair, machine)
+    joint = joint.reshape(4, 4, 4, 4)
+    return np.einsum("imjm->ij", joint), np.einsum("mimj->ij", joint)
+
+
+def _entropy_bits(rho):
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-15]
+    return float(-(w * np.log2(w)).sum())
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_the_cloning_machine_is_an_isometry_onto_the_joint_clones(d):
+    v = cloner_isometry(d)
+    assert v.shape == (d**3, d)
+    assert np.abs(v.conj().T @ v - np.eye(d)).max() < MACHINE_TOL
+    rho = random_density(np.random.default_rng(40 + d), d)
+    out = (v @ rho @ v.conj().T).reshape(d * d, d, d * d, d)
+    assert np.abs(np.einsum("ikjk->ij", out) - symmetric_cloner_joint(rho)).max() < MACHINE_TOL
+
+
+@pytest.mark.parametrize("d, shrink", [(2, QUBIT_SHRINK), (4, REGISTER_SHRINK)])
+def test_shrink_factors_are_read_off_the_cloning_machine(d, shrink):
+    # the first copy of |0> is eta |0><0| + (1 - eta) I/d, so its <0|.|0> is eta + (1 - eta)/d
+    ket = cloner_isometry(d)[:, :1]
+    clone = np.einsum("ikjk->ij", (ket @ ket.conj().T).reshape(d, d * d, d, d * d))
+    eta = (d * clone[0, 0].real - 1.0) / (d - 1.0)
+    assert np.abs(clone - (eta * np.diag(np.eye(d)[0]) + (1.0 - eta) * np.eye(d) / d)).max() < MACHINE_TOL
+    assert abs(eta - shrink) < MACHINE_TOL
+
+
+def test_both_channels_equal_the_cloning_machine_on_random_states():
+    for k in range(20):
+        rho = random_density(np.random.default_rng(500 + k))
+        for public, machine in ((clone_local, machine_joint_local), (clone_nonlocal, machine_joint_nonlocal)):
+            clone, _ = _clone_and_machine(machine(rho))
+            assert np.abs(public(rho) - clone).max() < MACHINE_TOL
+
+
+def test_both_channels_equal_the_cloning_machine_on_the_bell_grid():
+    # the stacked channel of a sweep block against the machine on each row's input
+    alphas = np.linspace(0.0, 1.0, 41)
+    for scheme, machine in _MACHINES.items():
+        for clone, alpha in zip(bell_clone(scheme, alphas), alphas):
+            expected, _ = _clone_and_machine(machine(_bell_density(BellKind.PSI_MINUS, alpha)))
+            assert np.abs(clone - expected).max() < MACHINE_TOL
+
+
+@pytest.mark.parametrize("scheme", list(_MACHINES))
+def test_entanglement_lost_to_the_clones_is_shared_with_the_machine(scheme):
+    # a pure input leaves the copies and the machine in a pure state; wherever the clone pair holds less EoF than the
+    # input, the clone pair and its machine share positive mutual information S(C) + S(M) - S(CM)
+    for alpha in np.linspace(0.0, 1.0, 21)[1:-1]:
+        rho = _bell_density(BellKind.PSI_MINUS, alpha)
+        joint = _MACHINES[scheme](rho)
+        clone, machine = _clone_and_machine(joint)
+        assert entanglement_of_formation(clone) < entanglement_of_formation(rho)
+        assert _entropy_bits(clone) + _entropy_bits(machine) - _entropy_bits(joint) > 1e-9

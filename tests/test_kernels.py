@@ -4,6 +4,7 @@ The kernels take (N, 4, 4) stacks; a public measure is the N=1 case, and a
 stack must give every state the bytes it gets alone.
 """
 
+import json
 import warnings
 from unittest import mock
 
@@ -32,7 +33,9 @@ from entclone import (
     chsh_value,
     concurrence,
     correlation_matrix,
+    density_from_dict,
     density_from_pure,
+    density_to_dict,
     entanglement_interval,
     entanglement_of_formation,
     hermitian_eig,
@@ -56,12 +59,13 @@ from entclone.bell import (
 )
 from entclone.cli import _BLOCK, _clone_block, main
 from entclone.cloning import REMIX_TOL, _channel, _iterate, bell_clone
-from entclone.entanglement import _concurrence, _eof, _spin_flip
+from entclone.entanglement import _FLIP_SIGNS, NOISE_FLOOR, _concurrence, _eof, _spin_flip
 from entclone.linalg import (
     HERMITIAN_TOL,
     PSD_TOL,
     SpectralDecomposition,
     _eigh,
+    _eigvalsh,
     _partial_trace,
     _psd_eigh,
     _psd_root,
@@ -203,17 +207,17 @@ def test_public_iterate_and_concurrence_diagonalize_each_state_once(n, monkeypat
     for measure in (concurrence, entanglement_of_formation):
         calls.update(eigh=0, eigvalsh=0)
         measure(rho)
-        # the density check and the eigenvalues of sqrt(rho) rho~ sqrt(rho)
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        # eigh for the density check, eigvalsh for the eigenvalues of sqrt(rho) rho~ sqrt(rho), which need no vectors
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize("scheme", [scheme.value for scheme in CloneScheme])
-def test_each_sweep_block_makes_two_eigh_and_two_eigvalsh(scheme, monkeypatch, capsys):
-    # per block: eigh for the concurrence root and its product, eigvalsh for the PT spectrum and T^T T
+def test_each_sweep_block_makes_one_eigh_and_three_eigvalsh(scheme, monkeypatch, capsys):
+    # per block: eigh for the concurrence root, eigvalsh for the concurrence product, the PT spectrum and T^T T
     calls = count_solves(monkeypatch)
     assert main(["sweep", "--scheme", scheme, "--grid", "2001"]) == 0
     blocks = -(-2001 // _BLOCK)
-    assert calls == {"eigh": 2 * blocks, "eigvalsh": 2 * blocks}
+    assert calls == {"eigh": blocks, "eigvalsh": 3 * blocks}
     assert capsys.readouterr().out.count("\n") == 2002
 
 
@@ -413,18 +417,24 @@ def test_concurrence_of_a_reused_decomposition_equals_a_fresh_solve():
                 assert got.tobytes() == expected.tobytes()
 
 
+def _broadcast_local_channel(rhos):
+    # the LOCAL _channel as it ran before its slice assignment: rho_a (x) I and I (x) rho_b as broadcast products with
+    # the 2x2 identity, the products np.kron forms
+    rho_a = _partial_trace(rhos, (2, 2), "first")
+    rho_b = _partial_trace(rhos, (2, 2), "second")
+    eye2 = np.eye(2)
+    a_eye = (rho_a[..., :, None, :, None] * eye2[:, None, :]).reshape(rhos.shape)
+    eye_b = (eye2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rhos.shape)
+    return (4.0 / 9.0) * rhos + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + np.eye(4) / 36.0
+
+
 def _allocating_apply(scheme, rho):
     # _channel as it built its identity terms on every call
     if scheme is CloneScheme.PURE:
         return rho
     if scheme is CloneScheme.NONLOCAL:
         return REGISTER_SHRINK * rho + (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
-    rho_a = _partial_trace(rho, (2, 2), "first")
-    rho_b = _partial_trace(rho, (2, 2), "second")
-    eye2 = np.eye(2)
-    a_eye = (rho_a[..., :, None, :, None] * eye2[:, None, :]).reshape(rho.shape)
-    eye_b = (eye2[:, None, :, None] * rho_b[..., None, :, None, :]).reshape(rho.shape)
-    return (4.0 / 9.0) * rho + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + np.eye(4) / 36.0
+    return _broadcast_local_channel(rho)
 
 
 def _two_dagger_check(m):
@@ -553,6 +563,143 @@ def test_iterate_round_equals_the_strided_round(scheme, name):
         assert stack.tobytes() == stack0.tobytes()
         assert values.tobytes() == values0.tobytes()
         assert vectors.tobytes() == vectors0.tobytes()
+
+
+def _product_correlations(rhos):
+    # _correlations as it ran before the gather: the whole (N, 3, 3, 4, 4) product of rho and P^T, summed
+    values = (rhos[:, None, None] * _PAULI_PAIRS.swapaxes(-1, -2)).sum((-2, -1))
+    assert np.abs(values.imag).max() <= HERMITIAN_TOL
+    return values.real.copy()
+
+
+def _allocating_spin_flip(rhos):
+    # _spin_flip as it ran before it wrote into one buffer: a conjugated copy, a signed one and a third for + 0.0
+    return _FLIP_SIGNS * rhos.conj()[..., ::-1, ::-1] + 0.0
+
+
+def _assert_measurement_kernels_equal_their_references(rhos):
+    t, t0 = _correlations(rhos), _product_correlations(rhos)
+    assert t.tobytes() == t0.tobytes()
+    # the products of _chsh and _bmax round by the layout of T, so T keeps the C order of the reference's copy
+    assert t.flags.c_contiguous
+    assert _chsh(t, PLANAR_PI4).tobytes() == _chsh(t0, PLANAR_PI4).tobytes()
+    assert _bmax(t).tobytes() == _bmax(t0).tobytes()
+    assert _spin_flip(rhos).tobytes() == _allocating_spin_flip(rhos).tobytes()
+    assert _channel(CloneScheme.LOCAL, rhos).tobytes() == _broadcast_local_channel(rhos).tobytes()
+
+
+def _with_json_zero_signs(rhos, seed):
+    # each state through a JSON payload whose zero entries each carry a random sign, as a state file can hold them
+    rng, loaded = np.random.default_rng(seed), []
+    for rho in rhos:
+        data = density_to_dict(rho)
+        for part in ("re", "im"):
+            data[part] = [[-0.0 if x == 0.0 and rng.random() < 0.5 else x for x in row] for row in data[part]]
+        loaded.append(density_from_dict(json.loads(json.dumps(data))))
+    return np.array(loaded)
+
+
+def _bell_grid(scheme, n):
+    return bell_clone(scheme, np.linspace(0.0, 1.0, n))
+
+
+_MEASUREMENT_INPUTS = {
+    **{f"{scheme.value}-grid-{n}": (lambda scheme=scheme, n=n: _bell_grid(scheme, n))
+       for scheme in CloneScheme for n in (1, 2, 7, _BLOCK + 3)},
+    **{f"random-full-rank-{n}": (lambda n=n: _random_full_rank(n)) for n in (1, 2, 7, 40)},
+    **{f"{scheme.value}-grid-json-zero-signs": lambda scheme=scheme: _with_json_zero_signs(_bell_grid(scheme, 101), 9)
+       for scheme in CloneScheme},
+    # product states and a Bell-diagonal mixture: rows and columns of zeros, and T entries that are sums of zeros
+    "json-zero-signs-sparse": lambda: _with_json_zero_signs(
+        [np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]), np.diag([0.5, 0.0, 0.0, 0.5]),
+         _bell_diagonal(0.2, 0.3, 0.0, 0.5)] * 8, 12),
+}
+
+
+@pytest.mark.parametrize("name", list(_MEASUREMENT_INPUTS))
+def test_measurement_kernels_equal_their_references(name):
+    _assert_measurement_kernels_equal_their_references(_MEASUREMENT_INPUTS[name]())
+
+
+def _broadcast_channel(scheme, rhos):
+    return _broadcast_local_channel(rhos) if scheme is CloneScheme.LOCAL else _channel(scheme, rhos)
+
+
+_LOCAL_CHAINS = {
+    "grid-7": (lambda: _bell_grid(CloneScheme.PURE, 7), 5),
+    "grid-block": (lambda: _bell_grid(CloneScheme.PURE, _BLOCK + 3), 3),
+    "random-full-rank-40": (lambda: _random_full_rank(40), 5),
+    "singlet-chain": (lambda: psi_minus(np.sqrt([0.5])), 64),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOCAL_CHAINS))
+def test_local_iterate_chain_equals_the_broadcast_channel_chain(name, monkeypatch):
+    # the local channel also clones each round's (N, 4, 4, 4) stack of eigenprojectors
+    build, n = _LOCAL_CHAINS[name]
+    rhos = build()
+    rounds = list(_iterate(rhos, _psd_eigh(rhos), CloneScheme.LOCAL, n))
+    monkeypatch.setattr(cloning, "_channel", _broadcast_channel)
+    expected = list(_iterate(rhos, _psd_eigh(rhos), CloneScheme.LOCAL, n))
+    assert len(rounds) == len(expected) == n + 1
+    for (stack, (values, vectors)), (stack0, (values0, vectors0)) in zip(rounds, expected):
+        assert stack.tobytes() == stack0.tobytes()
+        assert values.tobytes() == values0.tobytes()
+        assert vectors.tobytes() == vectors0.tobytes()
+        _assert_measurement_kernels_equal_their_references(stack)
+
+
+def _eigh_concurrence(rhos, spectra):
+    # _concurrence as it ran before its values-only solve: the eigenvalues of a full eigh of the product
+    root = _psd_root(spectra)
+    w = _eigh(root @ _allocating_spin_flip(rhos) @ root).eigenvalues
+    lambdas = np.sqrt(np.where(w < NOISE_FLOOR, 0.0, w))
+    return lambdas, np.maximum(0.0, lambdas[:, 0] - lambdas[:, 1] - lambdas[:, 2] - lambdas[:, 3])
+
+
+def _nonlocal_chain(rhos, n):
+    # the stacks of n non-local iterate rounds, the input's first, concatenated with their decompositions
+    stacks, spectra = zip(*_iterate(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, n))
+    return np.concatenate(stacks), SpectralDecomposition(*map(np.concatenate, zip(*spectra)))
+
+
+# states the command line builds itself: the rows of sweep blocks of every scheme, grid size and --alpha, and the
+# non-local iterate rounds of sweep --iterations and table1
+_PROGRAM_STATES = {
+    **{f"{scheme.value}-grid-{n}": (lambda scheme=scheme, n=n: _bell_grid(scheme, n))
+       for scheme in CloneScheme for n in (1, 2, 7, _BLOCK + 3)},
+    **{f"{scheme.value}-random-alphas": lambda scheme=scheme: bell_clone(scheme, np.random.default_rng(6).random(4000))
+       for scheme in CloneScheme},
+    "nonlocal-chain-grid-40": lambda: _nonlocal_chain(_bell_grid(CloneScheme.PURE, 40), 101),
+    "singlet-chain": lambda: _nonlocal_chain(psi_minus(np.sqrt([0.5])), 100),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROGRAM_STATES))
+def test_values_only_concurrence_has_the_bits_of_the_full_solve_on_program_states(name):
+    # on the Bell family, its clones and their iterate rounds, this LAPACK build's eigvalsh gives eigh's eigenvalues
+    # bit for bit (with NumPy 2.4.6 on 900 006 grid states and four 101-round chains), so the command line prints
+    # the bytes the full solve gave
+    built = _PROGRAM_STATES[name]()
+    rhos, spectra = built if isinstance(built, tuple) else (built, _psd_eigh(built))
+    for got, expected in zip(_concurrence(rhos, spectra), _eigh_concurrence(rhos, spectra)):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_values_only_concurrence_moves_generic_states_by_rounding_only():
+    # on generic states eigvalsh rounds differently from eigh: with NumPy 2.4.6 the lambdas of 19 961 of 20 000 random
+    # full-rank states differed, the product's eigenvalues by at most 1.5 eps. Each eigenvalue of the product, whose
+    # norm is at most 1, may move by a backward-stable 16 eps, and a lambda^2 clamped on one side of NOISE_FLOOR and
+    # not on the other by at most the floor more
+    rhos = np.array([random_density(np.random.default_rng(1000 + k)) for k in range(400)])
+    spectra = _psd_eigh(rhos)
+    root = _psd_root(spectra)
+    product = root @ _spin_flip(rhos) @ root
+    eps = np.finfo(float).eps
+    assert np.abs(_eigvalsh(product) - _eigh(product).eigenvalues).max() <= 16 * eps
+    (lambdas, c), (lambdas0, c0) = _concurrence(rhos, spectra), _eigh_concurrence(rhos, spectra)
+    assert np.abs(lambdas**2 - lambdas0**2).max() <= NOISE_FLOOR + 16 * eps
+    assert np.abs(c - c0).max() <= 4 * np.sqrt(NOISE_FLOOR + 16 * eps)
 
 
 def test_decompositions_are_descending_views_of_eigh(monkeypatch):
