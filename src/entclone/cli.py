@@ -23,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from .bell import PLANAR_PI4, _bmax, _chsh, _correlations, bmax_numeric
-from .cloning import CloneScheme, _iterate, bell_clone
+from .cloning import _BLOCK, CloneScheme, _iterate, bell_clone
 from .entanglement import _concurrence, _eof
 from .errors import NoConvergenceError
 from .linalg import SpectralDecomposition, _psd_eigh
@@ -107,10 +107,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     analyze.set_defaults(run=_cmd_analyze)
 
     return parser, sub.choices
-
-
-# rows measured per stack: bounds each block's temporaries, the largest an iterate round's (N, 4, 4, 4) clones
-_BLOCK = 512
 
 
 def _measures(rhos, spectra):

@@ -19,14 +19,16 @@ the positive map whose inseparability threshold is 16 alpha beta = 5.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from collections.abc import Iterator
 
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _count, _member, _partial_trace, _Vocabulary
-from .states import BellKind, _bell_ket, _check_densities, _projector, _two_qubit_stack
+from .linalg import (HERMITIAN_TOL, PSD_TOL, SpectralDecomposition, _count, _dagger, _descending, _hermitian_defect,
+                     _member, _partial_trace, _Vocabulary)
+from .states import TRACE_TOL, BellKind, _bell_ket, _check_densities, _projector, _trace_deviations, _two_qubit_stack
 
 __all__ = [
     "CloneScheme",
@@ -42,6 +44,10 @@ REGISTER_SHRINK = 3.0 / 5.0
 
 # per-step agreement bound between eigenbasis remixing and the direct channel
 REMIX_TOL = 1e-10
+
+# matrices per stack, the rows of a sweep block or the rows times rounds of an iterate window (whose checks run once
+# over its stack before any of its rounds is handed on): bounds the temporaries, the largest a block's 4N clones
+_BLOCK = 512
 
 # the channels' constant terms, built once
 _REGISTER_NOISE = (1.0 - REGISTER_SHRINK) * np.eye(4) / 4
@@ -59,18 +65,25 @@ class CloneScheme(enum.Enum, metaclass=_Vocabulary):
 def _channel(scheme: CloneScheme, rhos: np.ndarray) -> np.ndarray:
     # unchecked: a 4x4 density matrix, or each of a stack (..., 4, 4), already validated or built by the caller, sent
     # through scheme's channel.  Affine, not linear: the constant identity term assumes tr rho = 1.  LOCAL is the
-    # tensor square of the single-qubit shrink map, rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36
+    # tensor square of the single-qubit shrink map, rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36.
+    # Terms after the first are added in place, the same sums left to right: on an iterate round's (N, 4, 4, 4) clone
+    # stack each temporary is megabytes, and freeing fewer keeps the allocator from handing them back to the system
     if scheme is CloneScheme.PURE:
         return rhos
     if scheme is CloneScheme.NONLOCAL:
-        return REGISTER_SHRINK * rhos + _REGISTER_NOISE
+        out = REGISTER_SHRINK * rhos
+        out += _REGISTER_NOISE
+        return out
     # rho_a (x) I and I (x) rho_b, indexed [..., a, b, a', b'], copied into zeros: each nonzero entry is the product
     # np.kron forms, and a zero whose sign differs from kron's is made +0.0 by the identity term
     a_eye, eye_b = terms = np.zeros((2, *rhos.shape[:-2], 2, 2, 2, 2), dtype=complex)
     a_eye[..., :, 0, :, 0] = a_eye[..., :, 1, :, 1] = _partial_trace(rhos, (2, 2), "first")
     eye_b[..., 0, :, 0, :] = eye_b[..., 1, :, 1, :] = _partial_trace(rhos, (2, 2), "second")
-    a_eye, eye_b = terms.reshape(2, *rhos.shape)
-    return (4.0 / 9.0) * rhos + (1.0 / 9.0) * a_eye + (1.0 / 9.0) * eye_b + _QUBIT_PAIR_NOISE
+    a_eye, eye_b = np.multiply(1.0 / 9.0, terms, out=terms).reshape(2, *rhos.shape)
+    out = (4.0 / 9.0) * rhos + a_eye
+    out += eye_b
+    out += _QUBIT_PAIR_NOISE
+    return out
 
 
 def clone_nonlocal(rho: np.ndarray) -> np.ndarray:
@@ -83,23 +96,65 @@ def clone_local(rho: np.ndarray) -> np.ndarray:
     return _channel(CloneScheme.LOCAL, _two_qubit_stack(rho)[0][0])
 
 
-def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, n: int) -> Iterator[tuple]:
-    # iterate over an (N, 4, 4) stack of valid states and its decomposition: yields n + 1 (stack, decomposition) pairs
-    yield rhos, spectra
-    for _ in range(n):
+def _remix_gap(scheme: CloneScheme, rhos: np.ndarray, remixed: np.ndarray) -> float:
+    # the largest entry of |remix - direct channel| over a stack of round inputs and their remixes
+    return float(np.abs(remixed - _channel(scheme, rhos)).max())
+
+
+def _rounds(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, count: int, checked: bool) -> list:
+    # count iterate rounds from a checked (rhos, spectra), as (stack, decomposition) pairs: checked, each round's remix
+    # gap and then its density check as it is made, else one symmetrize and one eigh per round. The clones, (N, 4, 4, 4)
+    # and fresh for every scheme (PURE returns them), are weighted in place; C-ordered, the clone of eigenvector k of
+    # row r is the contiguous 4x4 at [r, k], so the reduce adds whole clones in k order from +0.0:
+    # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The remix check vets eigh's norms
+    window = []
+    for _ in range(count):
         weights, vectors = spectra
-        # (N, 4, 4, 4), fresh for every scheme (PURE returns it) and so weighted in place; C-ordered, the clone of
-        # eigenvector k of row r is the contiguous 4x4 at [r, k], so the reduce adds whole clones in k order from +0.0:
-        # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The remix check vets eigh's norms
         kets = vectors.swapaxes(-1, -2)
         clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
         np.multiply(weights[:, :, None, None], clones, out=clones)
         remixed = np.add.reduce(clones, axis=1, initial=0.0)
-        gap = float(np.abs(remixed - _channel(scheme, rhos)).max())
-        if gap > REMIX_TOL:
+        if not checked:
+            spectra = _descending(*np.linalg.eigh((remixed + _dagger(remixed)) / 2))
+        elif (gap := _remix_gap(scheme, rhos, remixed)) > REMIX_TOL:
             raise RuntimeError(f"eigenbasis remixing deviates from the direct channel by {gap:.3e}")
-        rhos, spectra = remixed, _check_densities(remixed)
-        yield rhos, spectra
+        else:
+            spectra = _check_densities(remixed)
+        rhos = remixed
+        window.append((rhos, spectra))
+    return window
+
+
+def _clean(scheme: CloneScheme, chain: np.ndarray, n: int, values: np.ndarray) -> bool:
+    # every check of a window's rounds at once, chain[n:] being the outputs of the inputs chain[:-n] and values their
+    # eigenvalues: remix gap, finite and Hermitian, PSD floor and trace. Written x <= tol, so a NaN fails it
+    inputs, outputs = chain[:-n], chain[n:]
+    return (_remix_gap(scheme, inputs, outputs) <= REMIX_TOL
+            and _hermitian_defect(outputs, _dagger(outputs)) <= HERMITIAN_TOL
+            and float(values.min()) >= -PSD_TOL
+            and float(_trace_deviations(outputs)[1].max()) <= TRACE_TOL)
+
+
+def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, count: int) -> list:
+    # count iterate rounds made unchecked and then checked as one stack. A window that is not clean, or whose solve
+    # raises, is made again round by round with every check, so its first failing round raises that round's error
+    with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore", invalid="ignore"):
+        window = _rounds(rhos, spectra, scheme, count, checked=False)
+        chain = np.concatenate([rhos, *(stack for stack, _ in window)])
+        if _clean(scheme, chain, len(rhos), np.concatenate([part.eigenvalues for _, part in window])):
+            return window
+    return _rounds(rhos, spectra, scheme, count, checked=True)
+
+
+def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, n: int) -> Iterator[tuple]:
+    # iterate over an (N, 4, 4) stack of valid states and its decomposition: yields n + 1 (stack, decomposition) pairs,
+    # the rounds in windows of _BLOCK // N of them (one at least), each window checked before its first round is yielded
+    yield rhos, spectra
+    size = max(1, _BLOCK // len(rhos))
+    for start in range(0, n, size):
+        window = _window(rhos, spectra, scheme, min(size, n - start))
+        yield from window
+        rhos, spectra = window[-1]
 
 
 def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarray]:
@@ -110,8 +165,11 @@ def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarr
     the results are remixed with the eigenvalue weights.  Channel linearity
     makes this equal to cloning the mixed state directly; both are computed
     and required to agree within REMIX_TOL, and every output is checked as a
-    density matrix.  ``scheme`` is a CloneScheme or its value ("pure",
-    "local", "nonlocal"); ``n`` is a non-negative integer (not a bool).
+    density matrix.  The checks run once over each window of at most 512
+    rounds, before any state is returned; a window that fails them is redone
+    round by round, so the error is the one its first failing round raises.
+    ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");
+    ``n`` is a non-negative integer (not a bool).
     """
     scheme = _member(CloneScheme, scheme, "scheme")
     if not _count(n):

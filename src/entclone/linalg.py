@@ -115,12 +115,17 @@ def _require_two_qubit(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _hermitian_defect(m: np.ndarray, m_dagger: np.ndarray) -> float:
+    # the largest |m - m^dagger| entry of a stack, NaN or inf for a non-finite entry or one near the float max
+    return float(np.abs(m - m_dagger).max())
+
+
 def _hermitian_solve(solver, m: np.ndarray):
     # eigh or eigvalsh of the Hermitian part of each matrix of a stack. A non-finite entry makes the defect NaN or inf,
     # so the finite check runs only if the Hermiticity test fails; entries near the float max overflow it or the solver
     with np.errstate(over="ignore", invalid="ignore"):
         m_dagger = _dagger(m)
-        defect = float(np.abs(m - m_dagger).max())
+        defect = _hermitian_defect(m, m_dagger)
         if not defect <= HERMITIAN_TOL:
             _finite(m)
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
@@ -130,10 +135,14 @@ def _hermitian_solve(solver, m: np.ndarray):
             raise NoConvergenceError(str(exc)) from exc
 
 
+def _descending(values: np.ndarray, vectors: np.ndarray) -> SpectralDecomposition:
+    # eigh's ascending arrays as a decomposition of descending views of them
+    return SpectralDecomposition(values[..., ::-1], vectors[..., ::-1])
+
+
 def _eigh(m: np.ndarray) -> SpectralDecomposition:
     # hermitian_eig of each matrix of a stack
-    values, vectors = _hermitian_solve(np.linalg.eigh, m)
-    return SpectralDecomposition(values[..., ::-1], vectors[..., ::-1])
+    return _descending(*_hermitian_solve(np.linalg.eigh, m))
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:

@@ -89,12 +89,18 @@ def _projector(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
+def _trace_deviations(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the trace of each matrix of a stack and its distance from 1; a trace past the float maximum reads inf
+    with np.errstate(over="ignore"):
+        traces = m.trace(axis1=-2, axis2=-1)
+    return traces, np.abs(traces - 1.0)
+
+
 def _check_densities(m: np.ndarray) -> SpectralDecomposition:
     # validate_density of each matrix of a stack (..., n, n); returns its checked eigendecomposition
     decomposition = _psd_eigh(m)
-    with np.errstate(over="ignore"):  # a trace past the float maximum reads inf and fails below
-        traces = m.trace(axis1=-2, axis2=-1)
-    if (deviations := np.abs(traces - 1.0)).max() > TRACE_TOL:
+    traces, deviations = _trace_deviations(m)
+    if deviations.max() > TRACE_TOL:
         raise BadTraceError(f"trace must be 1, got {traces[deviations > TRACE_TOL][0].real:.12g}")
     return decomposition
 

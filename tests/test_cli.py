@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entclone import BellKind, ChshConfig, bell_state, density_from_pure, save_density, states
-from entclone import cli
+from entclone import cli, cloning
 from entclone.cli import CSV_HEADER, MAX_GRID, main
 
 from helpers import package_env
@@ -300,9 +300,17 @@ def test_sweep_validates_no_state_it_builds(scheme, capsys, monkeypatch):
         assert run_cli(["sweep", "--scheme", scheme, "--grid", grid, "--iterations", "0"], capsys)[0] == 0
         counts.append(len(calls))
     assert counts == [0, 0]
-    # the counter does see the check iterate keeps on every round: one per round for the whole block
+    # the counter does see the check iterate keeps: one per window of rounds, here both rounds of the 2-row block in
+    # one (4, 4, 4) stack; a window fails over to the per-round density check only when that stacked check fails
+    clean = cloning._clean
+
+    def checking(scheme, chain, n, values):
+        calls.append(chain[n:].shape)
+        return clean(scheme, chain, n, values)
+
+    monkeypatch.setattr(cloning, "_clean", checking)
     assert run_cli(["sweep", "--scheme", "nonlocal", "--grid", "2", "--iterations", "1"], capsys)[0] == 0
-    assert calls == [(2, 4, 4)] * 2
+    assert calls == [(4, 4, 4)]
 
 
 def test_table1_default_steps(capsys):

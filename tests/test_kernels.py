@@ -565,6 +565,224 @@ def test_iterate_round_equals_the_strided_round(scheme, name):
         assert vectors.tobytes() == vectors0.tobytes()
 
 
+def _per_round_iterate(rhos, spectra, scheme, n):
+    # the iterate round as it ran before its checks moved to windows: the remix gap, then the density check, after
+    # every round and before it is yielded. Its clones and direct channel go through cloning._channel as that module
+    # looks it up, so a fault put there reaches this and _iterate alike
+    yield rhos, spectra
+    for _ in range(n):
+        weights, vectors = spectra
+        kets = vectors.swapaxes(-1, -2)
+        clones = cloning._channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
+        np.multiply(weights[:, :, None, None], clones, out=clones)
+        remixed = np.add.reduce(clones, axis=1, initial=0.0)
+        gap = float(np.abs(remixed - cloning._channel(scheme, rhos)).max())
+        if gap > REMIX_TOL:
+            raise RuntimeError(f"eigenbasis remixing deviates from the direct channel by {gap:.3e}")
+        rhos, spectra = remixed, _check_densities(remixed)
+        yield rhos, spectra
+
+
+def _window_rounds(n):
+    # the rounds of one iterate window over n rows
+    return max(1, _BLOCK // n)
+
+
+_WINDOW_CHAINS = {
+    # one row and three rows cross window boundaries (512 and 170 rounds), 200 rows make windows of two rounds and
+    # _BLOCK + 3 rows windows of one
+    "random-full-rank-1": (lambda: _random_full_rank(1), 2 * _window_rounds(1) + 3),
+    "random-full-rank-3": (lambda: _random_full_rank(3), 2 * _window_rounds(3) + 1),
+    "grid-200": (lambda: psi_minus(np.linspace(0.0, 1.0, 200)), 7),
+    "grid-block": (lambda: psi_minus(np.linspace(0.0, 1.0, _BLOCK + 3)), 2),
+    # the table1 chain at its longest
+    "singlet-chain": (lambda: psi_minus(np.sqrt([0.5])), 100),
+}
+
+
+@pytest.mark.parametrize("scheme", list(CloneScheme))
+@pytest.mark.parametrize("name", list(_WINDOW_CHAINS))
+def test_windowed_iterate_equals_the_per_round_iterate(scheme, name):
+    build, n = _WINDOW_CHAINS[name]
+    rhos = build()
+    rounds = list(_iterate(rhos, _psd_eigh(rhos), scheme, n))
+    expected = list(_per_round_iterate(rhos, _psd_eigh(rhos), scheme, n))
+    assert len(rounds) == len(expected) == n + 1
+    for (stack, (values, vectors)), (stack0, (values0, vectors0)) in zip(rounds, expected):
+        assert stack.tobytes() == stack0.tobytes()
+        assert values.tobytes() == values0.tobytes()
+        assert vectors.tobytes() == vectors0.tobytes()
+
+
+class _Fault:
+    # true for the k-th input it is shown and then for every input equal to that one, so a round made again from the
+    # same state fails again, as a fault that belongs to the state would
+    def __init__(self, k):
+        self.k, self.seen, self.key = k, 0, None
+
+    def __call__(self, data):
+        self.seen += 1
+        if self.seen == self.k:
+            self.key = data.tobytes()
+        return self.key is not None and data.tobytes() == self.key
+
+
+def _fault_clones(clones, kind, row):
+    # the same change to the four clones of one row, so the remix carries it into that row's state. REMIX_TOL,
+    # HERMITIAN_TOL and TRACE_TOL are all 1e-10: a defect of 1.5e-10 and a trace off by 3e-10 each come with a gap of
+    # 0.75e-10, which passes the remix check first
+    clones = clones.copy()
+    faulted = clones[row]
+    if kind == "gap":
+        faulted[:, 0, 0] += 10 * REMIX_TOL
+    elif kind == "nan":
+        faulted[:, 0, 1] = np.nan
+    elif kind == "hermitian":
+        faulted[:, 0, 1] += 0.75 * HERMITIAN_TOL
+        faulted[:, 1, 0] -= 0.75 * HERMITIAN_TOL
+    else:
+        faulted[:, range(4), range(4)] += 0.75 * TRACE_TOL
+    return clones
+
+
+# each fault, the error a round that holds it raises, and the start of its message
+_FAULT_KINDS = {
+    "gap": (RuntimeError, "eigenbasis remixing deviates from the direct channel by 1.000e-09"),
+    "nan": (ValueError, "matrix has non-finite entries"),
+    "hermitian": (NotHermitianError, "not Hermitian: max |m - m^dagger| = 1.500e-10"),
+    "psd": (NotPsdError, "not positive semidefinite: min eigenvalue = -1.000e-09"),
+    "trace": (BadTraceError, "trace must be 1, got 1.0000000003"),
+    "linalg": (NoConvergenceError, "Eigenvalues did not converge"),
+}
+
+
+def _run_with_fault(monkeypatch, rounds, kind, k, row):
+    # the pairs rounds() yields and the error it raises, with the fault put into the k-th round: the clones of its
+    # remix, or its eigensolve (an eigenvalue of row moved below -PSD_TOL, or LinAlgError)
+    fault = _Fault(k)
+    channel, eigh = cloning._channel, np.linalg.eigh
+
+    def faulty_channel(scheme, rhos):
+        out = channel(scheme, rhos)
+        return _fault_clones(out, kind, row) if rhos.ndim == 4 and fault(rhos) else out
+
+    def faulty_eigh(m):
+        hit = fault(m)
+        if hit and kind == "linalg":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        values, vectors = eigh(m)
+        if hit:
+            values = values.copy()
+            values[row, 0] = -10 * PSD_TOL
+        return values, vectors
+
+    yielded = []
+    with monkeypatch.context() as patch:
+        if kind in ("psd", "linalg"):
+            patch.setattr(np.linalg, "eigh", faulty_eigh)
+        else:
+            patch.setattr(cloning, "_channel", faulty_channel)
+        with pytest.raises((ValueError, RuntimeError)) as raised:
+            for pair in rounds():
+                yielded.append(pair)
+    return yielded, raised.value
+
+
+# rows, and the window (0 the first) that holds the fault: the second where windows are short, so one clean window
+# is yielded before it
+_FAULT_WINDOWS = [(1, 0), (3, 0), (200, 1), (_BLOCK, 1)]
+
+
+@pytest.mark.parametrize("scheme", [CloneScheme.NONLOCAL, CloneScheme.PURE])
+@pytest.mark.parametrize("n, window", _FAULT_WINDOWS, ids=[str(n) for n, _ in _FAULT_WINDOWS])
+@pytest.mark.parametrize("kind", list(_FAULT_KINDS))
+def test_a_failing_window_raises_what_its_first_failing_round_raises(kind, n, window, scheme, monkeypatch):
+    # the fault in the first, a middle and the last round of a window. The per-round iterate raises from that round,
+    # after yielding every round before it; the windowed one raises the same, and yields no round of the failing
+    # window. (A non-local chain reaches a fixed point within about 80 rounds, after which the fault's input recurs
+    # in every round and the windowed iterate may fail from an earlier round of the window with the same input and
+    # error; the pure channel's chain never repeats a state, so there each round fails alone)
+    size = _window_rounds(n)
+    start, rounds = window * size, (window + 1) * size + 1
+    rhos = _random_full_rank(n)
+    spectra = _psd_eigh(rhos)
+    kind_error, message = _FAULT_KINDS[kind]
+    for k in sorted({start + 1, start + (size + 1) // 2, start + size}):
+        expected, error0 = _run_with_fault(
+            monkeypatch, lambda: _per_round_iterate(rhos, spectra, scheme, rounds), kind, k, n // 2)
+        got, error = _run_with_fault(monkeypatch, lambda: _iterate(rhos, spectra, scheme, rounds), kind, k, n // 2)
+        assert type(error0) is kind_error and str(error0).startswith(message)
+        assert type(error) is kind_error and str(error) == str(error0)
+        assert len(expected) == k
+        assert len(got) == 1 + start
+        for (stack, (values, vectors)), (stack0, (values0, vectors0)) in zip(got, expected):
+            assert stack.tobytes() == stack0.tobytes()
+            assert values.tobytes() == values0.tobytes()
+            assert vectors.tobytes() == vectors0.tobytes()
+
+
+def test_the_window_check_fails_on_a_nan_anywhere():
+    # each test is x <= tol, so a NaN fails it, even one a single round's check lets through (a NaN eigenvalue of a
+    # finite state passes the PSD floor) or one it never meets (the window's input is checked already); else the
+    # NaN in a stacked max or min would hide a failing round of the window
+    rhos = _random_full_rank(3)
+    window = cloning._rounds(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 4, checked=False)
+    chain = np.concatenate([rhos, *(stack for stack, _ in window)])
+    values = np.concatenate([part.eigenvalues for _, part in window])
+    assert cloning._clean(CloneScheme.NONLOCAL, chain, 3, values)
+    for where in ((0, 0, 0), (5, 1, 2), (-1, 3, 3)):
+        faulted = chain.copy()
+        faulted[where] = np.nan
+        assert not cloning._clean(CloneScheme.NONLOCAL, faulted, 3, values)
+    for where in ((0, 0), (7, 3)):
+        faulted = values.copy()
+        faulted[where] = np.nan
+        assert not cloning._clean(CloneScheme.NONLOCAL, chain, 3, faulted)
+
+
+def _record_checks(monkeypatch):
+    # the stacks and eigenvalues each window check is handed, copied, in call order
+    checked = []
+    clean = cloning._clean
+
+    def recording(scheme, chain, n, values):
+        checked.append((chain[n:].copy(), values.copy()))
+        return clean(scheme, chain, n, values)
+
+    monkeypatch.setattr(cloning, "_clean", recording)
+    return checked
+
+
+@pytest.mark.parametrize("n", [1, 8, 200, _BLOCK + 1])
+def test_every_round_iterate_yields_was_checked_before_it_was_yielded(n, monkeypatch):
+    checked = _record_checks(monkeypatch)
+    rhos = _random_full_rank(n)
+    rounds = _iterate(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 2 * _window_rounds(n) + 1)
+    assert next(rounds)[0] is rhos
+    seen, read, count = set(), 0, 0
+    for stack, (values, _) in rounds:
+        # each round the checks have been handed so far, as the bytes of its states and of their eigenvalues
+        for outputs, eigenvalues in checked[read:]:
+            seen.update(zip((part.tobytes() for part in outputs.reshape(-1, n, 4, 4)),
+                            (part.tobytes() for part in eigenvalues.reshape(-1, n, 4))))
+        read = len(checked)
+        assert (stack.tobytes(), values.tobytes()) in seen
+        count += 1
+    assert count == 2 * _window_rounds(n) + 1
+
+
+@pytest.mark.parametrize("n", [1, 8, 200, _BLOCK, _BLOCK + 1])
+def test_no_iterate_window_holds_more_than_a_block(n, monkeypatch):
+    # a window takes as many rounds as fit in _BLOCK matrices, one at least, and the chain's rest in a last window
+    checked = _record_checks(monkeypatch)
+    rhos = _random_full_rank(n)
+    size = _window_rounds(n)
+    list(_iterate(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 2 * size + 1))
+    held = [len(outputs) for outputs, _ in checked]
+    assert max(held) <= max(_BLOCK, n)
+    assert held == [size * n, size * n, n]
+
+
 def _product_correlations(rhos):
     # _correlations as it ran before the gather: the whole (N, 3, 3, 4, 4) product of rho and P^T, summed
     values = (rhos[:, None, None] * _PAULI_PAIRS.swapaxes(-1, -2)).sum((-2, -1))
@@ -700,6 +918,22 @@ def test_values_only_concurrence_moves_generic_states_by_rounding_only():
     (lambdas, c), (lambdas0, c0) = _concurrence(rhos, spectra), _eigh_concurrence(rhos, spectra)
     assert np.abs(lambdas**2 - lambdas0**2).max() <= NOISE_FLOOR + 16 * eps
     assert np.abs(c - c0).max() <= 4 * np.sqrt(NOISE_FLOOR + 16 * eps)
+
+
+def test_values_only_concurrence_stays_within_rounding_of_the_full_solve_on_generic_states():
+    # the bound that turns a LAPACK build whose eigvalsh drifts further from eigh into a named failure rather than a
+    # digest mismatch. On these 4000 full-rank states (NumPy 2.4.6: 3991 of them differ) the product's eigenvalues
+    # lambda^2 moved by at most 1.5 eps and C by at most 2.4e-12. lambda itself is the square root, which turns a
+    # 1-eps change of lambda^2 ~ 1e-11 into ~1e4 eps, so the bound is on lambda^2. Every lambda^2 here lies far above
+    # NOISE_FLOOR; one near it could be clamped on one side only, which would move C by up to sqrt(NOISE_FLOOR)
+    rhos = np.array([random_density(np.random.default_rng(10_000 + k)) for k in range(4000)])
+    spectra = _psd_eigh(rhos)
+    (lambdas, c), (lambdas0, c0) = _concurrence(rhos, spectra), _eigh_concurrence(rhos, spectra)
+    eps = np.finfo(float).eps
+    assert (lambdas0**2).min() > 100 * NOISE_FLOOR
+    assert np.abs(lambdas**2 - lambdas0**2).max() <= 4 * eps
+    assert np.abs(c - c0).max() <= 1e-11
+    assert (c0 > 0).sum() > 1000
 
 
 def test_decompositions_are_descending_views_of_eigh(monkeypatch):
