@@ -19,16 +19,14 @@ the positive map whose inseparability threshold is 16 alpha beta = 5.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import OutOfRangeError
-from .linalg import (HERMITIAN_TOL, PSD_TOL, SpectralDecomposition, _count, _dagger, _descending, _hermitian_defect,
-                     _member, _partial_trace, _Vocabulary)
-from .states import TRACE_TOL, BellKind, _bell_ket, _check_densities, _projector, _trace_deviations, _two_qubit_stack
+from .errors import NoConvergenceError, OutOfRangeError
+from .linalg import SpectralDecomposition, _count, _dagger, _descending, _member, _partial_trace, _Vocabulary
+from .states import BellKind, _bell_ket, _check_densities, _densities_clean, _projector, _two_qubit_stack
 
 __all__ = [
     "CloneScheme",
@@ -101,49 +99,43 @@ def _remix_gap(scheme: CloneScheme, rhos: np.ndarray, remixed: np.ndarray) -> fl
     return float(np.abs(remixed - _channel(scheme, rhos)).max())
 
 
-def _rounds(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, count: int, checked: bool) -> list:
-    # count iterate rounds from a checked (rhos, spectra), as (stack, decomposition) pairs: checked, each round's remix
-    # gap and then its density check as it is made, else one symmetrize and one eigh per round. The clones, (N, 4, 4, 4)
-    # and fresh for every scheme (PURE returns them), are weighted in place; C-ordered, the clone of eigenvector k of
-    # row r is the contiguous 4x4 at [r, k], so the reduce adds whole clones in k order from +0.0:
-    # (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The remix check vets eigh's norms
-    window = []
-    for _ in range(count):
-        weights, vectors = spectra
-        kets = vectors.swapaxes(-1, -2)
-        clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
-        np.multiply(weights[:, :, None, None], clones, out=clones)
-        remixed = np.add.reduce(clones, axis=1, initial=0.0)
-        if not checked:
-            spectra = _descending(*np.linalg.eigh((remixed + _dagger(remixed)) / 2))
-        elif (gap := _remix_gap(scheme, rhos, remixed)) > REMIX_TOL:
-            raise RuntimeError(f"eigenbasis remixing deviates from the direct channel by {gap:.3e}")
-        else:
-            spectra = _check_densities(remixed)
-        rhos = remixed
-        window.append((rhos, spectra))
-    return window
-
-
 def _clean(scheme: CloneScheme, chain: np.ndarray, n: int, values: np.ndarray) -> bool:
-    # every check of a window's rounds at once, chain[n:] being the outputs of the inputs chain[:-n] and values their
-    # eigenvalues: remix gap, finite and Hermitian, PSD floor and trace. Written x <= tol, so a NaN fails it
-    inputs, outputs = chain[:-n], chain[n:]
-    return (_remix_gap(scheme, inputs, outputs) <= REMIX_TOL
-            and _hermitian_defect(outputs, _dagger(outputs)) <= HERMITIAN_TOL
-            and float(values.min()) >= -PSD_TOL
-            and float(_trace_deviations(outputs)[1].max()) <= TRACE_TOL)
+    # all checks of a window's rounds, chain[n:] the outputs of inputs chain[:-n] and values their eigenvalues, NaN-safe
+    return _remix_gap(scheme, chain[:-n], chain[n:]) <= REMIX_TOL and _densities_clean(chain[n:], values)
 
 
 def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, count: int) -> list:
-    # count iterate rounds made unchecked and then checked as one stack. A window that is not clean, or whose solve
-    # raises, is made again round by round with every check, so its first failing round raises that round's error
-    with contextlib.suppress(np.linalg.LinAlgError), np.errstate(over="ignore", invalid="ignore"):
-        window = _rounds(rhos, spectra, scheme, count, checked=False)
-        chain = np.concatenate([rhos, *(stack for stack, _ in window)])
-        if _clean(scheme, chain, len(rhos), np.concatenate([part.eigenvalues for _, part in window])):
-            return window
-    return _rounds(rhos, spectra, scheme, count, checked=True)
+    # count iterate rounds from a checked (rhos, spectra), as (stack, decomposition) pairs, made unchecked and then
+    # checked as one stack. The clones, (N, 4, 4, 4) and fresh for every scheme (PURE returns them), are weighted in
+    # place; C-ordered, the clone of eigenvector k of row r is the contiguous 4x4 at [r, k], so the reduce adds whole
+    # clones in k order from +0.0: (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The
+    # remix check vets eigh's norms. A window that is not clean, or whose solve raised, has its rounds checked one by
+    # one (_check_densities repeats each solve on the same bytes), so its first failing round raises. The last clone
+    # stack is freed before the check, and the loop kept out of _iterate's frame: held, it doubles a block's page faults
+    chain, window, failure = [rhos], [], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for _ in range(count):
+                weights, vectors = spectra
+                kets = vectors.swapaxes(-1, -2)
+                clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
+                np.multiply(weights[:, :, None, None], clones, out=clones)
+                chain.append(remixed := np.add.reduce(clones, axis=1, initial=0.0))
+                spectra = _descending(*np.linalg.eigh((remixed + _dagger(remixed)) / 2))
+                window.append((remixed, spectra))
+        except np.linalg.LinAlgError as exc:
+            failure = exc
+        else:
+            del clones
+            if _clean(scheme, np.concatenate(chain), len(rhos), np.concatenate([values for _, (values, _) in window])):
+                return window
+    for inputs, outputs in zip(chain, chain[1:]):
+        if (gap := _remix_gap(scheme, inputs, outputs)) > REMIX_TOL:
+            raise RuntimeError(f"eigenbasis remixing deviates from the direct channel by {gap:.3e}")
+        _check_densities(outputs)
+    if failure is not None:
+        raise NoConvergenceError(str(failure)) from failure
+    return window
 
 
 def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, n: int) -> Iterator[tuple]:
@@ -166,8 +158,8 @@ def iterate(rho: np.ndarray, scheme: CloneScheme | str, n: int) -> list[np.ndarr
     makes this equal to cloning the mixed state directly; both are computed
     and required to agree within REMIX_TOL, and every output is checked as a
     density matrix.  The checks run once over each window of at most 512
-    rounds, before any state is returned; a window that fails them is redone
-    round by round, so the error is the one its first failing round raises.
+    rounds, before any state is returned; a failing window's rounds are then
+    checked one by one, from the states made: the first failing one raises.
     ``scheme`` is a CloneScheme or its value ("pure", "local", "nonlocal");
     ``n`` is a non-negative integer (not a bool).
     """

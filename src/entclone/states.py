@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadDimensionError, BadTraceError, NotNormalizedError, OutOfRangeError
-from .linalg import SpectralDecomposition, _as_square, _member, _numeric, _psd_eigh, _require_two_qubit, _Vocabulary
+from .linalg import (HERMITIAN_TOL, PSD_TOL, SpectralDecomposition, _as_square, _dagger, _hermitian_defect, _member,
+                     _numeric, _psd_eigh, _require_two_qubit, _Vocabulary)
 
 __all__ = [
     "BellKind",
@@ -103,6 +104,12 @@ def _check_densities(m: np.ndarray) -> SpectralDecomposition:
     if deviations.max() > TRACE_TOL:
         raise BadTraceError(f"trace must be 1, got {traces[deviations > TRACE_TOL][0].real:.12g}")
     return decomposition
+
+
+def _densities_clean(m: np.ndarray, values: np.ndarray) -> bool:
+    # _check_densities without raising, of a stack and its eigenvalues: x <= tol fails a NaN, which max and min carry
+    return (_hermitian_defect(m, _dagger(m)) <= HERMITIAN_TOL and -float(values.min()) <= PSD_TOL
+            and float(_trace_deviations(m)[1].max()) <= TRACE_TOL)
 
 
 def validate_density(m: np.ndarray) -> np.ndarray:

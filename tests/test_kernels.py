@@ -70,6 +70,7 @@ from entclone.linalg import (
     _psd_eigh,
     _psd_root,
     _dagger,
+    _descending,
     _transpose_second,
 )
 from entclone.separability import PPT_TOL, _verdict
@@ -726,7 +727,7 @@ def test_the_window_check_fails_on_a_nan_anywhere():
     # finite state passes the PSD floor) or one it never meets (the window's input is checked already); else the
     # NaN in a stacked max or min would hide a failing round of the window
     rhos = _random_full_rank(3)
-    window = cloning._rounds(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 4, checked=False)
+    window = list(_iterate(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 4))[1:]
     chain = np.concatenate([rhos, *(stack for stack, _ in window)])
     values = np.concatenate([part.eigenvalues for _, part in window])
     assert cloning._clean(CloneScheme.NONLOCAL, chain, 3, values)
@@ -738,6 +739,66 @@ def test_the_window_check_fails_on_a_nan_anywhere():
         faulted = values.copy()
         faulted[where] = np.nan
         assert not cloning._clean(CloneScheme.NONLOCAL, chain, 3, faulted)
+
+
+def _counting_channel(monkeypatch):
+    # the clone stacks cloning._channel is handed, one (N, 4, 4, 4) stack per round made; the remix gap's direct
+    # channel takes (N, 4, 4) stacks and is not counted
+    made = []
+    channel = cloning._channel
+
+    def counting(scheme, rhos):
+        if rhos.ndim == 4:
+            made.append(len(rhos))
+        return channel(scheme, rhos)
+
+    monkeypatch.setattr(cloning, "_channel", counting)
+    return made
+
+
+@pytest.mark.parametrize("n, window", [(1, 0), (200, 1)], ids=["1", "200"])
+@pytest.mark.parametrize("kind", ["gap", "psd", "linalg"])
+def test_a_failing_window_makes_each_round_once(kind, n, window, monkeypatch):
+    # the fault in a middle round of a window: the window's rounds are checked from the states made, none is made
+    # again. A solve that raises ends the window at its round, so the rounds after it are never made
+    size = _window_rounds(n)
+    start, rounds = window * size, (window + 1) * size + 1
+    k = start + (size + 1) // 2
+    rhos = _random_full_rank(n)
+    spectra = _psd_eigh(rhos)
+    made = _counting_channel(monkeypatch)
+    _, error = _run_with_fault(
+        monkeypatch, lambda: _iterate(rhos, spectra, CloneScheme.NONLOCAL, rounds), kind, k, n // 2)
+    assert type(error) is _FAULT_KINDS[kind][0]
+    assert made == [n] * (k if kind == "linalg" else start + size)
+
+
+@pytest.mark.parametrize("n, window", [(1, 0), (200, 1)], ids=["1", "200"])
+def test_a_window_whose_solve_raised_is_never_yielded_short(n, window, monkeypatch):
+    # a solve that fails once and then succeeds on the same bytes: the window's own check of that round passes, and
+    # the window raises the solver's error, yielding none of its rounds
+    size = _window_rounds(n)
+    start, rounds = window * size, (window + 1) * size + 1
+    k = start + (size + 1) // 2
+    rhos = _random_full_rank(n)
+    spectra = _psd_eigh(rhos)
+    eigh, calls = np.linalg.eigh, []
+
+    def once(m):
+        calls.append(m.tobytes())
+        if len(calls) == k:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", once)
+    yielded = []
+    with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$") as raised:
+        for pair in _iterate(rhos, spectra, CloneScheme.NONLOCAL, rounds):
+            yielded.append(pair)
+    assert isinstance(raised.value.__cause__, np.linalg.LinAlgError)
+    assert len(yielded) == 1 + start
+    # the failed solve was made again, on the same bytes, by the round's own density check, and passed
+    assert calls[-1] == calls[k - 1]
 
 
 def _record_checks(monkeypatch):
@@ -1249,6 +1310,41 @@ def test_density_checks_hold_their_tolerance_edges(tol, member, error, public):
         assert type(info.value) is error
         messages.append(str(info.value))
     assert len(set(messages)) == 1
+
+
+def _tolerance_edges():
+    # a state on the edge of each density tolerance and one an ulp past it. 1 + TRACE_TOL is not a double: the trace
+    # edge is the largest trace within TRACE_TOL of 1
+    trace = 1.0 + TRACE_TOL
+    while trace - 1.0 > TRACE_TOL:
+        trace = np.nextafter(trace, 0.0)
+    return {
+        "hermitian": _off_hermitian(HERMITIAN_TOL),
+        "hermitian-past": _off_hermitian(np.nextafter(HERMITIAN_TOL, 1.0)),
+        "psd": _below_psd(PSD_TOL),
+        "psd-past": _below_psd(np.nextafter(PSD_TOL, 1.0)),
+        "trace": np.diag([trace, 0.0, 0.0, 0.0]).astype(complex),
+        "trace-past": np.diag([np.nextafter(trace, 2.0), 0.0, 0.0, 0.0]).astype(complex),
+    }
+
+
+@pytest.mark.parametrize("name", list(_tolerance_edges()))
+def test_both_density_checks_agree_at_every_tolerance_edge(name):
+    # the window's non-raising test, handed the eigenvalues of the stack's Hermitian part as the window solves it
+    # (those _eigh returns, where it accepts the stack), calls a stack clean exactly when _check_densities accepts it
+    stack = with_member(_tolerance_edges()[name])
+    values = _descending(*np.linalg.eigh((stack + _dagger(stack)) / 2)).eigenvalues
+    if name == "psd":
+        assert float(values.min()) == -PSD_TOL
+    try:
+        assert _eigh(stack).eigenvalues.tobytes() == values.tobytes()
+        _check_densities(stack)
+    except (NotHermitianError, NotPsdError, BadTraceError):
+        accepted = False
+    else:
+        accepted = True
+    assert accepted is not name.endswith("-past")
+    assert states._densities_clean(stack, values) is accepted
 
 
 def test_a_trace_past_the_float_maximum_fails_the_trace_check_without_a_warning():
