@@ -28,6 +28,11 @@ __all__ = [
 PPT_TOL = 1e-10
 BISECTION_TOL = 1e-8
 
+# flat rho index of each PT entry in the basis order |00>, |11>, |01>, |10>: a permutation similarity, same spectrum.
+# A Bell-family state's one coherence |01><10| moves to |00><11| under the PT, adjacent in this order, so the PT
+# of every state the program builds is tridiagonal here and eigvalsh has no reduction to make
+_PT_INDEX = _transpose_second(np.arange(16).reshape(4, 4))[[0, 3, 1, 2]][:, [0, 3, 1, 2]].ravel()
+
 
 @dataclass
 class SeparabilityVerdict:
@@ -45,7 +50,7 @@ class AlphaSquaredInterval:
 
 def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.ndarray]:
     # unchecked kernel of ppt_verdict: (N,) minimal PT eigenvalues and entangled flags
-    pt = _transpose_second(rhos)
+    pt = rhos.reshape(len(rhos), 16).take(_PT_INDEX, axis=1).reshape(len(rhos), 4, 4)
     low = np.linalg.eigvalsh((pt + _dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
     return low, low < -tol
 
@@ -54,6 +59,7 @@ def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:
     """Classify a two-qubit state by the sign of its minimal PT eigenvalue.
 
     States with |min eigenvalue| <= tol are reported separable; tol must be a finite real >= 0, not a bool.
+    The minimum is of the same spectrum, solved in the basis order |00>, |11>, |01>, |10>.
     """
     if not _real(tol) or not 0.0 <= tol < np.inf:
         raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol}")

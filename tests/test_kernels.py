@@ -997,6 +997,80 @@ def test_values_only_concurrence_stays_within_rounding_of_the_full_solve_on_gene
     assert (c0 > 0).sum() > 1000
 
 
+def _transposed_verdict(rhos, tol=PPT_TOL):
+    # _verdict as it ran before it solved the PT in the order |00>, |11>, |01>, |10>: the PT in the standard order,
+    # whose Bell-family coherence sits in the corner |00><11|, so eigvalsh made a full reduction
+    pt = _transpose_second(rhos)
+    low = np.linalg.eigvalsh((pt + _dagger(pt)) / 2)[:, 0]
+    return low, low < -tol
+
+
+def test_pt_index_is_the_partial_transpose_in_the_reordered_basis():
+    order = [0, 3, 1, 2]
+    flat = _transpose_second(np.arange(16).reshape(4, 4))
+    assert separability._PT_INDEX.tolist() == flat[order][:, order].ravel().tolist()
+
+
+@pytest.mark.parametrize("scheme", list(CloneScheme))
+def test_verdict_solves_a_tridiagonal_pt_for_the_bell_family(scheme, monkeypatch):
+    # the reason for the speed: every entry of the matrix _verdict solves is an exact zero off the band, so eigvalsh
+    # has no reduction to make
+    solved, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or eigvalsh(m))
+    _verdict(_bell_grid(scheme, 41))
+    [pt] = solved
+    off_band = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) > 1
+    assert not pt[:, off_band].any()
+    assert pt[:, ~off_band].any()
+
+
+@pytest.mark.parametrize("scheme", list(CloneScheme))
+@pytest.mark.parametrize("n", [1, 2, 7, _BLOCK + 3, 20_001])
+def test_reordered_verdict_keeps_the_bell_grid_verdicts(scheme, n):
+    # with NumPy 2.4.6 about half the local and non-local rows move in the last bits, by at most 1.06 eps over 1.26 M
+    # grid, random-amplitude and iterate-chain rows, and none prints another min_pt_eig; pure rows keep every bit
+    rhos = _bell_grid(scheme, n)
+    (low, entangled), (low0, entangled0) = _verdict(rhos), _transposed_verdict(rhos)
+    assert entangled.tolist() == entangled0.tolist()
+    assert np.abs(low - low0).max() <= 4 * np.finfo(float).eps
+    assert [f"{v:.9g}" for v in low.tolist()] == [f"{v:.9g}" for v in low0.tolist()]
+    if scheme is CloneScheme.PURE:
+        assert low.tobytes() == low0.tobytes()
+
+
+_ROUNDING_INPUTS = {
+    **{f"nonlocal-chain-{k}": (lambda k=k: _nonlocal_chain(_bell_grid(CloneScheme.PURE, 400), k)[0])
+       for k in (1, 5, 30)},
+    "random-full-rank-4000": lambda: np.array([random_density(np.random.default_rng(20_000 + k)) for k in range(4000)]),
+    **{f"{scheme.value}-grid-json-zero-signs": lambda scheme=scheme: _with_json_zero_signs(_bell_grid(scheme, 101), 9)
+       for scheme in CloneScheme},
+    "json-zero-signs-sparse": _MEASUREMENT_INPUTS["json-zero-signs-sparse"],
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUNDING_INPUTS))
+def test_reordered_verdict_moves_other_states_by_rounding_only(name):
+    # each solve is backward stable, so each minimum is off the exact one by a few eps times the PT's norm, its largest
+    # |eigenvalue|. With NumPy 2.4.6 the two solves differed by at most 2.0 eps of that norm on the chains and 4.7 eps
+    # on 100 000 random full-rank states, 13 of which went past 4 eps; none flipped a verdict
+    rhos = _ROUNDING_INPUTS[name]()
+    (low, entangled), (low0, entangled0) = _verdict(rhos), _transposed_verdict(rhos)
+    pt = _transpose_second(rhos)
+    norms = np.abs(np.linalg.eigvalsh((pt + _dagger(pt)) / 2)).max(axis=1)
+    assert entangled.tolist() == entangled0.tolist()
+    assert (np.abs(low - low0) <= 8 * np.finfo(float).eps * norms).all()
+
+
+@pytest.mark.parametrize("scheme", [scheme.value for scheme in CloneScheme])
+def test_interval_keeps_its_bits_under_the_reordered_verdict(scheme, monkeypatch):
+    # the single-state benchmark's 17 tolerances and one that stalls: each probe's margin may move in its last bits,
+    # but none crosses zero, so every bracket and endpoint keeps its bits
+    tols = [float(f"{m}e-{e}") for e in range(14, 6, -1) for m in (1, 3)] + [1e-6, 1e-18]
+    outcomes = [_outcome(entanglement_interval, scheme, tol) for tol in tols]
+    monkeypatch.setattr(separability, "_verdict", _transposed_verdict)
+    assert outcomes == [_outcome(entanglement_interval, scheme, tol) for tol in tols]
+
+
 def test_decompositions_are_descending_views_of_eigh(monkeypatch):
     # _eigh hands out the arrays eigh returns, reversed, not copies of them
     original, returned = np.linalg.eigh, []
