@@ -9,14 +9,16 @@ Subcommands:
 * ``interval``: inseparability interval in alpha^2 for a cloning scheme.
 * ``analyze``: full report on a density matrix loaded from a JSON file.
 
-Exit codes: 0 success, 1 usage error (or an ``interval --tol`` finer than
-the float spacing at an endpoint), 2 invalid input state (including a valid
-state that is not two-qubit).
+Exit codes: 0 success; 1 usage error, an ``interval --tol`` finer than the
+float spacing at an endpoint, or output that cannot be written; 2 invalid
+input state, including a valid non-two-qubit state and an oversized file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from collections import deque
 
@@ -44,6 +46,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def print_help(self, file=None):
+        # --help's text is command output too: it takes the one write, whose exit code ends the parse
+        raise SystemExit(_emit(None, 0, self.format_help()))
 
 
 def _arg_type(convert, noun, rules):
@@ -126,80 +132,74 @@ def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> tuple[np.ndarr
     return rhos, spectra
 
 
-def _sweep_lines(scheme: CloneScheme, iterations: int, alphas: np.ndarray) -> list[str]:
-    lines = [CSV_HEADER]
-    for start in range(0, len(alphas), _BLOCK):
-        block = alphas[start:start + _BLOCK]
-        _, chsh, closed, _, eof, low, _ = _measures(*_clone_block(scheme, iterations, block))
-        rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), eof.tolist(), low.tolist())
-        lines.extend(_CSV_ROW % row for row in rows)
-    return lines
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     if args.iterations and args.scheme != CloneScheme.NONLOCAL.value:
         _PARSER.error("--iterations applies only to --scheme nonlocal")
     alphas = np.array([args.alpha]) if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
-    text = "\n".join(_sweep_lines(CloneScheme(args.scheme), args.iterations, alphas)) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    scheme, lines = CloneScheme(args.scheme), [CSV_HEADER]
+    for start in range(0, len(alphas), _BLOCK):
+        block = alphas[start:start + _BLOCK]
+        _, chsh, closed, _, eof, low, _ = _measures(*_clone_block(scheme, args.iterations, block))
+        rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), eof.tolist(), low.tolist())
+        lines.extend(_CSV_ROW % row for row in rows)
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> tuple[int, str]:
     singlet = bell_clone(CloneScheme.PURE, [np.sqrt(0.5)])
     stacks, spectra = zip(*_iterate(singlet, _psd_eigh(singlet), CloneScheme.NONLOCAL, args.steps))
     spectra = SpectralDecomposition(*map(np.concatenate, zip(*spectra)))
-    print("step eof")
-    for step, eof in enumerate(_eof(_concurrence(np.concatenate(stacks), spectra)[1]).tolist()):
-        print(f"{step} {eof:.6f}")
-    return 0
+    eofs = _eof(_concurrence(np.concatenate(stacks), spectra)[1]).tolist()
+    return 0, "step eof\n" + "".join(f"{step} {eof:.6f}\n" for step, eof in enumerate(eofs))
 
 
-def _cmd_interval(args) -> int:
+def _cmd_interval(args) -> tuple[int, str]:
     try:
         result = entanglement_interval(args.scheme, tol=args.tol)
     except NoConvergenceError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    print(f"[{result.low:.6f}, {result.high:.6f}]")
-    return 0
+        return 1, f"{type(exc).__name__}: {exc}"
+    return 0, f"[{result.low:.6f}, {result.high:.6f}]\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, str]:
     try:
         rhos, spectra = _two_qubit_stack(_read_density(args.input))
         t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rhos, spectra))
     except (ValueError, NoConvergenceError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    print(f"trace: {np.trace(rhos[0]).real:.9g}")
-    print("eigenvalues: " + " ".join(f"{v:.9g}" for v in spectra.eigenvalues[0]))
-    print(f"min PT eigenvalue: {low:.9g}")
-    print(f"verdict: {'entangled' if entangled else 'separable'}")
-    print("T matrix:")
-    for row in t:
-        print("  " + " ".join(f"{v:.9g}" for v in row))
-    print(f"bmax: {closed:.9g}")
-    print(f"chsh_pi4: {chsh:.9g}")
-    print(f"concurrence: {c:.9g}")
-    print(f"eof: {eof:.9g}")
+        return 2, f"{type(exc).__name__}: {exc}"
+    lines = [f"trace: {np.trace(rhos[0]).real:.9g}",
+             "eigenvalues: " + " ".join(f"{v:.9g}" for v in spectra.eigenvalues[0]),
+             f"min PT eigenvalue: {low:.9g}", f"verdict: {'entangled' if entangled else 'separable'}", "T matrix:",
+             *("  " + " ".join(f"{v:.9g}" for v in row) for row in t),
+             f"bmax: {closed:.9g}", f"chsh_pi4: {chsh:.9g}", f"concurrence: {c:.9g}", f"eof: {eof:.9g}"]
     if args.validate_bmax:
         numeric = bmax_numeric(rhos[0], seed=args.seed)
-        print(f"bmax numeric (seed {args.seed}): {numeric:.9g}")
-        print(f"bmax gap: {abs(numeric - closed):.9g}")
-    return 0
+        lines += [f"bmax numeric (seed {args.seed}): {numeric:.9g}", f"bmax gap: {abs(numeric - closed):.9g}"]
+    return 0, "\n".join(lines) + "\n"
 
 
 # built once per process: parse_args keeps no state between calls
 _PARSER, _COMMANDS = _build_parser()
+
+
+def _emit(args, code: int, text: str) -> int:
+    # the one write of a _cmd_*'s (exit code, text): on exit 0 the text to --out or stdout, else its one line to stderr
+    if code:
+        print(text, file=sys.stderr)
+        return code
+    out = getattr(args, "out", None)
+    try:
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as handle:
+            handle.write(text)
+            handle.flush()
+    except OSError as exc:
+        if out is None and sys.stdout is sys.__stdout__:
+            # Python's note on SIGPIPE: the exit flush would fail again ("Exception ignored"); a caller's stream stays
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
         args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if command is None or extra:
         args = _PARSER.parse_args(argv)
-    return args.run(args)
+    return _emit(args, *args.run(args))
 
 
 if __name__ == "__main__":

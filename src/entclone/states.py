@@ -8,7 +8,10 @@ product state at the endpoints to maximal entanglement at alpha = 1/sqrt(2).
 from __future__ import annotations
 
 import enum
+import io
+import itertools
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,10 @@ __all__ = [
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-10
+# a 4x4 payload is about 2 KB; a longer file, or a device such as /dev/zero, is refused before it is decoded
+MAX_STATE_BYTES = 16 * 2**20
+# a state file is read in pieces: one read of MAX_STATE_BYTES + 1 would allocate that much for every file
+_READ_PIECE = 2**16
 
 
 class BellKind(enum.Enum, metaclass=_Vocabulary):
@@ -175,9 +182,16 @@ def load_density(path: str | Path) -> np.ndarray:
 
 def _read_density(path: str | Path) -> np.ndarray:
     try:
-        data = json.loads(Path(path).read_text())
+        with Path(path).open("rb") as handle:
+            pieces = iter(partial(handle.read, _READ_PIECE), b"")
+            raw = b"".join(itertools.islice(pieces, MAX_STATE_BYTES // _READ_PIECE + 1))
     except (OSError, TypeError) as exc:
         raise ValueError(f"cannot read state file: {exc}") from exc
+    if len(raw) > MAX_STATE_BYTES:
+        raise ValueError(f"state file is larger than {MAX_STATE_BYTES} bytes")
+    try:
+        # decoded whole, in the default text encoding and newlines, so a decoding error names its place in the file
+        data = json.loads(io.TextIOWrapper(io.BytesIO(raw)).read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"state file is not valid JSON: {exc}") from exc
     except RecursionError as exc:

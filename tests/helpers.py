@@ -1,5 +1,8 @@
-"""State builders, the call counters and the child-process environment shared across the test modules."""
+"""Shared across the test modules: state builders, call counters, failing output streams and the child-process
+environment."""
 
+import errno
+import io
 import os
 from pathlib import Path
 
@@ -77,3 +80,17 @@ def package_env():
     src = str(Path(entclone.__file__).resolve().parents[1])
     rest = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class ClosedPipeStream(io.StringIO):
+    """A stdout whose reader has gone: a write lands in the buffer and the flush raises EPIPE."""
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

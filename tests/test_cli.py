@@ -1,5 +1,10 @@
 import argparse
+import contextlib
+import io
 import json
+import locale
+import os
+import resource
 import subprocess
 import sys
 
@@ -9,8 +14,9 @@ import pytest
 from entclone import BellKind, ChshConfig, bell_state, density_from_pure, save_density, states
 from entclone import cli, cloning
 from entclone.cli import CSV_HEADER, MAX_GRID, main
+from entclone.states import MAX_STATE_BYTES
 
-from helpers import package_env
+from helpers import ClosedPipeStream, FullStream, package_env
 
 
 def run_cli(args, capsys):
@@ -149,6 +155,62 @@ def test_sweep_reports_an_unwritable_out_path(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# an argv of each subcommand that writes to stdout, and the top-level help; {state} is a valid state file
+_WRITING_ARGVS = [["sweep", "--grid", "5"], ["table1"], ["interval", "--scheme", "local"],
+                  ["analyze", "--input", "{state}"], ["--help"]]
+
+
+def _argv(argv, tmp_path):
+    path = _write_state(tmp_path / "mixed.json", np.eye(4) / 4.0)
+    return [path if arg == "{state}" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("stream, message", [(FullStream, "[Errno 28] No space left on device"),
+                                             (ClosedPipeStream, "[Errno 32] Broken pipe")])
+@pytest.mark.parametrize("argv", _WRITING_ARGVS, ids=" ".join)
+def test_a_failed_stdout_write_is_one_line_and_exit_1(argv, stream, message, tmp_path):
+    stdout, err = stream(), io.StringIO()
+    before = os.fstat(1)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        try:
+            code = main(_argv(argv, tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+        assert sys.stdout is stdout
+    assert (code, err.getvalue()) == (1, f"cannot write stdout: {message}\n")
+    # an in-process caller keeps its streams: descriptor 1 is not pointed at os.devnull either
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+def _run_module(argv, stdout):
+    # without PYTHONUNBUFFERED, as a shell runs it: a failed flush leaves text buffered for the interpreter's flush at
+    # exit, which would print "Exception ignored" and exit 120 were stdout not pointed at os.devnull
+    env = {name: value for name, value in package_env().items() if name != "PYTHONUNBUFFERED"}
+    done = subprocess.run([sys.executable, "-m", "entclone.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", _WRITING_ARGVS, ids=" ".join)
+def test_stdout_on_a_full_device_is_one_line_and_exit_1(argv, tmp_path):
+    with open("/dev/full", "w") as full:
+        done = _run_module(_argv(argv, tmp_path), full)
+    assert done == (1, "cannot write stdout: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--grid", "100001"], *_WRITING_ARGVS], ids=" ".join)
+def test_stdout_into_a_closed_pipe_is_one_line_and_exit_1(argv, tmp_path):
+    # the read end is closed before the child starts; sweep --grid 100001 writes about 6 MB, far past a pipe's buffer
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        assert _run_module(_argv(argv, tmp_path), write) == (1, "cannot write stdout: [Errno 32] Broken pipe\n")
+    finally:
+        os.close(write)
+
+
 def test_sweep_flag_validation(capsys):
     assert run_cli(["sweep", "--grid", "1"], capsys)[0] == 1
     assert run_cli(["sweep", "--alpha", "1.5"], capsys)[0] == 1
@@ -192,9 +254,10 @@ def test_usage_errors_end_in_their_exact_message(argv, message, capsys):
 
 def _two_level(argv):
     # main as it parsed before it went straight to the subcommand's parser: the top-level parser, which hands the
-    # rest of argv to the subcommand's parser and reports what that parser leaves
+    # rest of argv to the subcommand's parser and reports what that parser leaves; the handler's result goes through
+    # the same write as main's
     args = cli._PARSER.parse_args(argv)
-    return args.run(args)
+    return cli._emit(args, *args.run(args))
 
 
 def run_two_level(argv, capsys):
@@ -483,6 +546,40 @@ def test_analyze_deeply_nested_json_is_an_invalid_input(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "ValueError: state file nests JSON too deeply to parse\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_analyze_of_an_endless_file_reads_only_the_bound():
+    # in a child capped at 1.5 GB of address space, so a read without end ends in MemoryError, not in exhausted memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+    done = subprocess.run([sys.executable, "-m", "entclone.cli", "analyze", "--input", "/dev/zero"],
+                          capture_output=True, text=True, env=package_env(), preexec_fn=cap)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"ValueError: state file is larger than {MAX_STATE_BYTES} bytes\n")
+
+
+def test_analyze_reads_a_state_file_of_the_bound_and_refuses_one_byte_more(tmp_path, capsys):
+    payload = json.dumps({"dim": 4, "re": (np.eye(4) / 4.0).tolist(), "im": np.zeros((4, 4)).tolist()})
+    path = tmp_path / "padded.json"
+    path.write_text(payload + " " * (MAX_STATE_BYTES - len(payload)))
+    code, out, _ = run_cli(["analyze", "--input", str(path)], capsys)
+    assert code == 0
+    assert "verdict: separable\n" in out
+    path.write_text(payload + " " * (MAX_STATE_BYTES - len(payload) + 1))
+    code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert (code, out, err) == (2, "", f"ValueError: state file is larger than {MAX_STATE_BYTES} bytes\n")
+
+
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower().replace("-", "") != "utf8", reason="needs UTF-8 text")
+def test_analyze_names_a_decoding_error_by_its_place_in_the_whole_file(tmp_path, capsys):
+    # the file is read in pieces but decoded whole, so the position counts from its first byte, past any piece
+    path = tmp_path / "cut.json"
+    path.write_bytes(b" " * 100_000 + b'"\xc3')
+    code, out, err = run_cli(["analyze", "--input", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xc3 in position 100001: unexpected end of data\n"
 
 
 def test_analyze_negative_seed_is_a_usage_error(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 argv comes from a grammar of every subcommand and flag with valid, invalid,
 edge and non-finite values; ``analyze`` state files come from a grammar of
-JSON payloads and raw bytes.  ``main`` runs in-process, once per example, and
+JSON payloads and raw bytes; stdout is a working stream, one on a full disk
+or one into a closed pipe.  ``main`` runs in-process, once per example, and
 the grammars stay small enough that no example runs long.
 """
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from entclone import density_to_dict
 from entclone.cli import MAX_GRID, MAX_ROUNDS, main
 
-from helpers import psi_minus, random_density, werner
+from helpers import ClosedPipeStream, FullStream, psi_minus, random_density, werner
 
 
 def _texts(*values):
@@ -132,10 +133,13 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-exits")
 
 
-def _exit_of(argv, workdir):
+_STDOUTS = st.sampled_from([io.StringIO, FullStream, ClosedPipeStream])
+
+
+def _exit_of(argv, workdir, stdout):
     argv = [arg.replace(_STATE, str(workdir / "state.json")).replace(_DIR, str(workdir)) for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(stdout()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -156,19 +160,19 @@ def _exit_of(argv, workdir):
 
 
 @settings(max_examples=150, deadline=None)
-@given(argvs(), st.sampled_from(_VALID_STATES))
-def test_every_argv_ends_in_one_line_exit(workdir, argv, rho):
+@given(argvs(), st.sampled_from(_VALID_STATES), _STDOUTS)
+def test_every_argv_ends_in_one_line_exit(workdir, argv, rho, stdout):
     (workdir / "state.json").write_text(json.dumps(density_to_dict(rho)))
-    _exit_of(argv, workdir)
+    _exit_of(argv, workdir, stdout)
 
 
 @settings(max_examples=150, deadline=None)
-@given(state_files(), st.sampled_from([[], ["--validate-bmax"], ["--validate-bmax", "--seed", "3"]]))
+@given(state_files(), st.sampled_from([[], ["--validate-bmax"], ["--validate-bmax", "--seed", "3"]]), _STDOUTS)
 # each once printed a NumPy RuntimeWarning ahead of its message: 1j * inf, a Hermiticity defect
 # past the float maximum, and a trace past it
-@example(_payload(0.0, math.inf, 3), [])
-@example(_payload(0.0, 1e308, 3), [])
-@example(json.dumps(density_to_dict(np.diag([1e308, 1e308, 0.0, 0.0]))).encode(), [])
-def test_every_state_file_ends_in_one_line_exit(workdir, data, extra):
+@example(_payload(0.0, math.inf, 3), [], io.StringIO)
+@example(_payload(0.0, 1e308, 3), [], io.StringIO)
+@example(json.dumps(density_to_dict(np.diag([1e308, 1e308, 0.0, 0.0]))).encode(), [], io.StringIO)
+def test_every_state_file_ends_in_one_line_exit(workdir, data, extra, stdout):
     (workdir / "state.json").write_bytes(data)
-    _exit_of(["analyze", "--input", _STATE, *extra], workdir)
+    _exit_of(["analyze", "--input", _STATE, *extra], workdir, stdout)
