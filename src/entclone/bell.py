@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError, NotHermitianError, NotNormalizedError, OutOfRangeError
-from .linalg import HERMITIAN_TOL, PAULIS, _count, _numeric
+from .linalg import HERMITIAN_TOL, PAULIS, _count, _numeric, _solve
 from .states import NORM_TOL, _two_qubit_stack
 
 __all__ = [
@@ -117,7 +117,7 @@ PLANAR_PI4 = ChshConfig(
 
 def _bmax(t: np.ndarray) -> np.ndarray:
     # (N,) closed-form maxima from an (N, 3, 3) stack: one stacked eigvalsh of T^T T
-    u = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    u = _solve("eigvalsh", t.swapaxes(-1, -2) @ t)
     return 2.0 * np.sqrt(np.maximum(u[:, -1] + u[:, -2], 0.0))
 
 

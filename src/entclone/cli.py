@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import io
 import os
 import sys
 from collections import deque
@@ -43,8 +45,7 @@ MAX_ROUNDS = 100
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; 2 is reserved for invalid input states here
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _report(f"{self.format_usage()}{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
     def print_help(self, file=None):
@@ -182,22 +183,54 @@ def _cmd_analyze(args) -> tuple[int, str]:
 _PARSER, _COMMANDS = _build_parser()
 
 
+def _write(stream, text: str) -> None:
+    # all of text to stream, flushed. Unbuffered (PYTHONUNBUFFERED, python -u), a standard stream's text layer writes
+    # through to a raw FileIO, which takes what one write(2) takes, and does not retry the rest: a pipe whose reader
+    # exits mid-write would end the write short without an error. So a raw stream is written in a loop until done
+    raw = getattr(stream, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        stream.write(text)
+        stream.flush()
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        written = raw.write(data)
+        if written is None:  # a non-blocking descriptor that is full
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        data = data[written:]
+
+
+def _drop(stream) -> None:
+    # after a failed write to the process's own stdout or stderr, its descriptor to os.devnull (Python's note on
+    # SIGPIPE): the text still buffered would fail the interpreter's flush at exit and turn the exit code into 120.
+    # A caller's stream stays as it is
+    if stream is sys.__stdout__ or stream is sys.__stderr__:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _report(text: str) -> None:
+    # text to stderr; a stderr that cannot be written loses it, never the exit code
+    try:
+        _write(sys.stderr, text)
+    except OSError:
+        _drop(sys.stderr)
+
+
 def _emit(args, code: int, text: str) -> int:
     # the one write of a _cmd_*'s (exit code, text): on exit 0 the text to --out or stdout, else its one line to stderr
     if code:
-        print(text, file=sys.stderr)
+        _report(text + "\n")
         return code
     out = getattr(args, "out", None)
     try:
         with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="") as handle:
-            handle.write(text)
-            handle.flush()
+            _write(handle, text)
     except OSError as exc:
-        if out is None and sys.stdout is sys.__stdout__:
-            # Python's note on SIGPIPE: the exit flush would fail again ("Exception ignored"); a caller's stream stays
-            with open(os.devnull, "w") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
+        if out is None:
+            _drop(sys.stdout)
+        _report(f"cannot write {'stdout' if out is None else out}: {exc}\n")
         return 1
     return 0
 

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import SpectralDecomposition, _count, _dagger, _descending, _member, _partial_trace, _Vocabulary
+from .linalg import SpectralDecomposition, _count, _dagger, _descending, _member, _partial_trace, _solve, _Vocabulary
 from .states import BellKind, _bell_ket, _check_densities, _densities_clean, _projector, _two_qubit_stack
 
 __all__ = [
@@ -109,9 +109,11 @@ def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSchem
     # checked as one stack. The clones, (N, 4, 4, 4) and fresh for every scheme (PURE returns them), are weighted in
     # place; C-ordered, the clone of eigenvector k of row r is the contiguous 4x4 at [r, k], so the reduce adds whole
     # clones in k order from +0.0: (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The
-    # remix check vets eigh's norms. A window that is not clean, or whose solve raised, has its rounds checked one by
-    # one (_check_densities repeats each solve on the same bytes), so its first failing round raises. The last clone
-    # stack is freed before the check, and the loop kept out of _iterate's frame: held, it doubles a block's page faults
+    # remix check vets eigh's norms. Each solve runs under the window's errstate, not one of its own, so a solve that
+    # fails leaves NaN rows, which fail the check. A window that is not clean, or whose solve raised, has its rounds
+    # checked one by one (_check_densities repeats each solve on the same bytes, guarded), so its first failing round
+    # raises. The last clone stack is freed before the check, and the loop kept out of _iterate's frame: held, it
+    # doubles a block's page faults
     chain, window, failure = [rhos], [], None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -121,7 +123,7 @@ def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSchem
                 clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
                 np.multiply(weights[:, :, None, None], clones, out=clones)
                 chain.append(remixed := np.add.reduce(clones, axis=1, initial=0.0))
-                spectra = _descending(*np.linalg.eigh((remixed + _dagger(remixed)) / 2))
+                spectra = _descending(*_solve("eigh", (remixed + _dagger(remixed)) / 2, guard=False))
                 window.append((remixed, spectra))
         except np.linalg.LinAlgError as exc:
             failure = exc

@@ -11,6 +11,14 @@ square matrix and call them.  ``_eigh`` holds the finite and Hermiticity
 checks and returns descending views of eigh's arrays, not copies (``_eigvalsh``
 the same checks and eigenvalues alone); ``_psd_eigh`` adds the PSD_TOL floor;
 ``_psd_root`` builds the root from its decomposition.
+
+Every eigensolve of the package goes through ``_solve``.  It calls the
+gufuncs that ``numpy.linalg.eigh`` and ``eigvalsh`` call with UPLO='L', under
+the same floating-point handling, without the wrapper around them: for one
+4x4 matrix the wrapper's array, type and shape handling cost about twice the
+solve itself.  ``tests/test_linalg.py`` pins ``_solve`` to the two NumPy
+functions bit for bit, so a NumPy build whose private gufuncs differ fails
+there by name.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import operator
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import BadDimensionError, NoConvergenceError, NotHermitianError, NotPsdError, OutOfRangeError
 
@@ -42,7 +51,26 @@ PAULIS = tuple(np.array(s, dtype=complex) for s in ([[0, 1], [1, 0]], [[0, -1j],
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     # conjugate transpose of each matrix of a stack
-    return np.swapaxes(m.conj(), -1, -2)
+    return m.conj().swapaxes(-1, -2)
+
+
+# the gufuncs numpy.linalg.eigh and eigvalsh call with UPLO='L', by the name of the function each stands in for
+_SOLVERS = {"eigh": _umath_linalg.eigh_lo, "eigvalsh": _umath_linalg.eigvalsh_lo}
+
+
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _solve(kind: str, m: np.ndarray, guard: bool = True):
+    # numpy.linalg.<kind>(m): eigh's (values, vectors) or eigvalsh's values, ascending, of each Hermitian matrix of a
+    # complex128 or float64 stack, its lower triangle read. The same gufunc on the same array under the same errstate,
+    # so a failed solve raises LinAlgError. guard=False leaves that errstate out, for a caller that runs under
+    # np.errstate(invalid="ignore") and checks the outputs NaN-safely: there a failed solve's rows read NaN
+    if not guard:
+        return _SOLVERS[kind](m)
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _SOLVERS[kind](m)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -120,19 +148,20 @@ def _hermitian_defect(m: np.ndarray, m_dagger: np.ndarray) -> float:
     return float(np.abs(m - m_dagger).max())
 
 
-def _hermitian_solve(solver, m: np.ndarray):
-    # eigh or eigvalsh of the Hermitian part of each matrix of a stack. A non-finite entry makes the defect NaN or inf,
-    # so the finite check runs only if the Hermiticity test fails; entries near the float max overflow it or the solver
+def _hermitian_solve(kind: str, m: np.ndarray):
+    # _solve(kind) of the Hermitian part of each matrix of a stack. A non-finite entry makes the defect NaN or inf, so
+    # the finite check runs only if the Hermiticity test fails; entries near the float max overflow it or the solver
     with np.errstate(over="ignore", invalid="ignore"):
         m_dagger = _dagger(m)
         defect = _hermitian_defect(m, m_dagger)
         if not defect <= HERMITIAN_TOL:
             _finite(m)
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
-        try:
-            return solver((m + m_dagger) / 2)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(str(exc)) from exc
+        hermitian = (m + m_dagger) / 2
+    try:
+        return _solve(kind, hermitian)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
 
 
 def _descending(values: np.ndarray, vectors: np.ndarray) -> SpectralDecomposition:
@@ -142,12 +171,12 @@ def _descending(values: np.ndarray, vectors: np.ndarray) -> SpectralDecompositio
 
 def _eigh(m: np.ndarray) -> SpectralDecomposition:
     # hermitian_eig of each matrix of a stack
-    return _descending(*_hermitian_solve(np.linalg.eigh, m))
+    return _descending(*_hermitian_solve("eigh", m))
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     # _eigh's checks and descending eigenvalues by LAPACK's values-only path, whose rounding can differ from eigh's
-    return _hermitian_solve(np.linalg.eigvalsh, m)[..., ::-1]
+    return _hermitian_solve("eigvalsh", m)[..., ::-1]
 
 
 def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import _dagger, _member, _real, _transpose_second
+from .linalg import _dagger, _member, _real, _solve, _transpose_second
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -51,7 +51,7 @@ class AlphaSquaredInterval:
 def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.ndarray]:
     # unchecked kernel of ppt_verdict: (N,) minimal PT eigenvalues and entangled flags
     pt = rhos.reshape(len(rhos), 16).take(_PT_INDEX, axis=1).reshape(len(rhos), 4, 4)
-    low = np.linalg.eigvalsh((pt + _dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
+    low = _solve("eigvalsh", (pt + _dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
     return low, low < -tol
 
 

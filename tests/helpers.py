@@ -11,6 +11,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import entclone
+from entclone import linalg
 
 
 def psi_minus(alpha):
@@ -71,8 +72,14 @@ def count_calls(monkeypatch, module, names):
 
 
 def count_solves(monkeypatch):
-    """Count the stacked np.linalg.eigh and eigvalsh calls made from here on."""
-    return count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    """Count the stacked eigh and eigvalsh solves made from here on, each a call of a gufunc linalg._solve looks up."""
+    calls = dict.fromkeys(linalg._SOLVERS, 0)
+    for kind, solver in linalg._SOLVERS.items():
+        def counting(m, _kind=kind, _solver=solver):
+            calls[_kind] += 1
+            return _solver(m)
+        monkeypatch.setitem(linalg._SOLVERS, kind, counting)
+    return calls
 
 
 def package_env():

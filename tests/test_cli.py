@@ -183,12 +183,17 @@ def test_a_failed_stdout_write_is_one_line_and_exit_1(argv, stream, message, tmp
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
-def _run_module(argv, stdout):
-    # without PYTHONUNBUFFERED, as a shell runs it: a failed flush leaves text buffered for the interpreter's flush at
-    # exit, which would print "Exception ignored" and exit 120 were stdout not pointed at os.devnull
+def _module_env(unbuffered=False):
+    # without PYTHONUNBUFFERED, as a shell runs it, unless unbuffered: a failed flush leaves text buffered for the
+    # interpreter's flush at exit, which would print "Exception ignored" and exit 120 were the stream not pointed at
+    # os.devnull; unbuffered, each standard stream writes through to a raw FileIO
     env = {name: value for name, value in package_env().items() if name != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def _run_module(argv, stdout):
     done = subprocess.run([sys.executable, "-m", "entclone.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env)
+                          text=True, env=_module_env())
     return done.returncode, done.stderr
 
 
@@ -209,6 +214,35 @@ def test_stdout_into_a_closed_pipe_is_one_line_and_exit_1(argv, tmp_path):
         assert _run_module(_argv(argv, tmp_path), write) == (1, "cannot write stdout: [Errno 32] Broken pipe\n")
     finally:
         os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_into_a_pipe_whose_reader_exits_mid_write_is_one_line_and_exit_1(unbuffered, tmp_path):
+    # as `entclone sweep --grid 100001 | head -n 1`: the reader takes one line of about 6 MB and exits while the
+    # write blocks on the full pipe, so that write(2) returns short; unbuffered, only a retry of the rest meets EPIPE
+    argv = [sys.executable, "-m", "entclone.cli", "sweep", "--grid", "100001"]
+    with open(tmp_path / "err", "w+") as err:
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=_module_env(unbuffered))
+        assert child.stdout.readline() == (CSV_HEADER + "\n").encode()
+        child.stdout.close()
+        assert child.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == "cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", [(["sweep", "--grid", "1"], 1),
+                                        (["interval", "--scheme", "local", "--tol", "1e-30"], 1),
+                                        (["analyze", "--input", "{dir}/missing.json"], 2)],
+                         ids=["usage", "stall", "input"])
+def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(argv, code, unbuffered, tmp_path):
+    # the message is lost, but neither it nor the interpreter's flush at exit turns the exit code into 120
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "entclone.cli", *argv], stdout=subprocess.PIPE, stderr=full,
+                              env=_module_env(unbuffered))
+    assert (done.returncode, done.stdout) == (code, b"")
 
 
 def test_sweep_flag_validation(capsys):

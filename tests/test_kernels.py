@@ -46,7 +46,7 @@ from entclone import (
     validate_density,
 )
 import entclone
-from entclone import cli, cloning, separability, states
+from entclone import cli, cloning, linalg, separability, states
 from entclone.bell import (
     _BMAX_ITERATIONS,
     _CYCLE_LAGS,
@@ -654,14 +654,16 @@ _FAULT_KINDS = {
     "psd": (NotPsdError, "not positive semidefinite: min eigenvalue = -1.000e-09"),
     "trace": (BadTraceError, "trace must be 1, got 1.0000000003"),
     "linalg": (NoConvergenceError, "Eigenvalues did not converge"),
+    "nonconvergence": (NoConvergenceError, "Eigenvalues did not converge"),
 }
 
 
 def _run_with_fault(monkeypatch, rounds, kind, k, row):
     # the pairs rounds() yields and the error it raises, with the fault put into the k-th round: the clones of its
-    # remix, or its eigensolve (an eigenvalue of row moved below -PSD_TOL, or LinAlgError)
+    # remix, or its eigensolve (an eigenvalue of row moved below -PSD_TOL, LinAlgError, or the gufunc's own failure
+    # on a NaN row: NaN values and vectors under the window's errstate, LinAlgError under _solve's guard)
     fault = _Fault(k)
-    channel, eigh = cloning._channel, np.linalg.eigh
+    channel, eigh = cloning._channel, linalg._SOLVERS["eigh"]
 
     def faulty_channel(scheme, rhos):
         out = channel(scheme, rhos)
@@ -671,16 +673,19 @@ def _run_with_fault(monkeypatch, rounds, kind, k, row):
         hit = fault(m)
         if hit and kind == "linalg":
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if hit and kind == "nonconvergence":
+            m = m.copy()
+            m[row] = np.nan
         values, vectors = eigh(m)
-        if hit:
+        if hit and kind == "psd":
             values = values.copy()
             values[row, 0] = -10 * PSD_TOL
         return values, vectors
 
     yielded = []
     with monkeypatch.context() as patch:
-        if kind in ("psd", "linalg"):
-            patch.setattr(np.linalg, "eigh", faulty_eigh)
+        if kind in ("psd", "linalg", "nonconvergence"):
+            patch.setitem(linalg._SOLVERS, "eigh", faulty_eigh)
         else:
             patch.setattr(cloning, "_channel", faulty_channel)
         with pytest.raises((ValueError, RuntimeError)) as raised:
@@ -757,10 +762,11 @@ def _counting_channel(monkeypatch):
 
 
 @pytest.mark.parametrize("n, window", [(1, 0), (200, 1)], ids=["1", "200"])
-@pytest.mark.parametrize("kind", ["gap", "psd", "linalg"])
+@pytest.mark.parametrize("kind", ["gap", "psd", "linalg", "nonconvergence"])
 def test_a_failing_window_makes_each_round_once(kind, n, window, monkeypatch):
     # the fault in a middle round of a window: the window's rounds are checked from the states made, none is made
-    # again. A solve that raises ends the window at its round, so the rounds after it are never made
+    # again. A solve that raises ends the window at its round, so the rounds after it are never made; one that fails
+    # as the unguarded gufunc does leaves NaN rows and raises nothing, so the window runs to its end
     size = _window_rounds(n)
     start, rounds = window * size, (window + 1) * size + 1
     k = start + (size + 1) // 2
@@ -782,7 +788,7 @@ def test_a_window_whose_solve_raised_is_never_yielded_short(n, window, monkeypat
     k = start + (size + 1) // 2
     rhos = _random_full_rank(n)
     spectra = _psd_eigh(rhos)
-    eigh, calls = np.linalg.eigh, []
+    eigh, calls = linalg._SOLVERS["eigh"], []
 
     def once(m):
         calls.append(m.tobytes())
@@ -790,7 +796,7 @@ def test_a_window_whose_solve_raised_is_never_yielded_short(n, window, monkeypat
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return eigh(m)
 
-    monkeypatch.setattr(np.linalg, "eigh", once)
+    monkeypatch.setitem(linalg._SOLVERS, "eigh", once)
     yielded = []
     with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$") as raised:
         for pair in _iterate(rhos, spectra, CloneScheme.NONLOCAL, rounds):
@@ -1015,8 +1021,8 @@ def test_pt_index_is_the_partial_transpose_in_the_reordered_basis():
 def test_verdict_solves_a_tridiagonal_pt_for_the_bell_family(scheme, monkeypatch):
     # the reason for the speed: every entry of the matrix _verdict solves is an exact zero off the band, so eigvalsh
     # has no reduction to make
-    solved, eigvalsh = [], np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or eigvalsh(m))
+    solved, eigvalsh = [], linalg._SOLVERS["eigvalsh"]
+    monkeypatch.setitem(linalg._SOLVERS, "eigvalsh", lambda m: solved.append(m) or eigvalsh(m))
     _verdict(_bell_grid(scheme, 41))
     [pt] = solved
     off_band = np.abs(np.subtract.outer(np.arange(4), np.arange(4))) > 1
@@ -1073,8 +1079,8 @@ def test_interval_keeps_its_bits_under_the_reordered_verdict(scheme, monkeypatch
 
 def test_decompositions_are_descending_views_of_eigh(monkeypatch):
     # _eigh hands out the arrays eigh returns, reversed, not copies of them
-    original, returned = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: returned.append(original(m)) or returned[-1])
+    original, returned = linalg._SOLVERS["eigh"], []
+    monkeypatch.setitem(linalg._SOLVERS, "eigh", lambda m: returned.append(original(m)) or returned[-1])
     values, vectors = _eigh(psi_minus(np.linspace(0.0, 1.0, 5)))
     [(ascending, basis)] = returned
     assert np.shares_memory(values, ascending) and np.shares_memory(vectors, basis)

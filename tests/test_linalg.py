@@ -1,23 +1,29 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from entclone import (
     BadDimensionError,
+    CloneScheme,
     NoConvergenceError,
     NotHermitianError,
     NotPsdError,
     hermitian_eig,
+    iterate,
     partial_trace,
     partial_transpose,
     psd_sqrt,
     validate_density,
 )
-from entclone.linalg import _dagger, _eigh
+from entclone.bell import _correlations
+from entclone.cloning import bell_clone
+from entclone.linalg import _dagger, _eigh, _solve
+from entclone.separability import _PT_INDEX, _verdict
 from entclone.states import _check_densities
 
-from helpers import random_density, random_hermitian, with_member
+from helpers import psi_minus, random_density, random_hermitian, with_member
 
 
 def test_dagger_is_conjugate_transpose():
@@ -203,3 +209,63 @@ def test_finite_hermitian_entries_near_the_float_maximum_fail_the_eigensolver():
     for call in (hermitian_eig, validate_density, lambda m: _check_densities(m[None])):
         with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
             call(huge)
+
+
+def _hermitian_parts(rhos):
+    # the matrices the package solves for a stack of states: their Hermitian parts and those of their reordered PTs
+    pts = rhos.reshape(len(rhos), 16).take(_PT_INDEX, axis=1).reshape(rhos.shape)
+    return [(m + _dagger(m)) / 2 for m in (rhos, pts)]
+
+
+def _random_stack(n):
+    rng = np.random.default_rng(900 + n)
+    return np.array([random_density(rng) for _ in range(n)])
+
+
+def _bell_family(scheme):
+    return bell_clone(scheme, np.linspace(0.0, 1.0, 41))
+
+
+# complex128 stacks: random full-rank states, the Bell family and its clones, a 100-round non-local chain of the
+# singlet; float64 stacks: T^T T of a Bell grid and of random states
+_SOLVED = {
+    **{f"random-full-rank-{n}": (lambda n=n: _hermitian_parts(_random_stack(n))) for n in (1, 17, 512)},
+    **{f"{scheme.value}-bell-family": (lambda scheme=scheme: _hermitian_parts(_bell_family(scheme)))
+       for scheme in CloneScheme},
+    "nonlocal-chain-100": lambda: _hermitian_parts(np.array(iterate(psi_minus(np.sqrt(0.5)), "nonlocal", 100))),
+    "ttt": lambda: [t.swapaxes(-1, -2) @ t for t in map(_correlations, (_bell_family(CloneScheme.LOCAL),
+                                                                         _random_stack(17)))],
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVED))
+def test_solve_has_the_bits_of_numpy_linalg(name):
+    # _solve calls NumPy's private gufuncs without the public wrapper: a NumPy build whose gufuncs differ from what
+    # numpy.linalg.eigh and eigvalsh call fails here, unguarded or not
+    for m in _SOLVED[name]():
+        expected = [*np.linalg.eigh(m), np.linalg.eigvalsh(m)]
+        for guard in (True, False):
+            got = [*_solve("eigh", m, guard), _solve("eigvalsh", m, guard)]
+            assert [a.dtype for a in got] == [a.dtype for a in expected]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def test_a_non_finite_stack_fails_the_solve_as_it_fails_numpy_linalg():
+    stack = _random_stack(3)
+    stack[1, 2, 2] = np.nan
+    for solve in (np.linalg.eigvalsh, lambda m: _solve("eigvalsh", m), lambda m: _verdict(m)[0]):
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            solve(stack)
+    # unguarded, under an errstate that ignores the invalid flag, the failed row reads NaN and nothing is raised
+    with np.errstate(invalid="ignore"):
+        values, vectors = _solve("eigh", stack, guard=False)
+    assert np.isnan(values[1]).all() and np.isnan(vectors[1]).all()
+    assert not np.isnan(values[[0, 2]]).any()
+
+
+def test_a_state_near_the_float_maximum_fails_the_solve_without_a_warning():
+    huge = np.full((1, 4, 4), 1e308, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
+            _check_densities(huge)
