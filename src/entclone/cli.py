@@ -10,8 +10,10 @@ Subcommands:
 * ``analyze``: full report on a density matrix loaded from a JSON file.
 
 Exit codes: 0 success; 1 usage error, an ``interval --tol`` finer than the
-float spacing at an endpoint, or output that cannot be written; 2 invalid
-input state, including a valid non-two-qubit state and an oversized file.
+float spacing at an endpoint or a PT solve of ``interval`` that does not
+converge, or output that cannot be written, a closed stdout among it; 2
+invalid input state, including a valid non-two-qubit state and an oversized
+file.
 """
 
 from __future__ import annotations
@@ -187,6 +189,8 @@ def _write(stream, text: str) -> None:
     # all of text to stream, flushed. Unbuffered (PYTHONUNBUFFERED, python -u), a standard stream's text layer writes
     # through to a raw FileIO, which takes what one write(2) takes, and does not retry the rest: a pipe whose reader
     # exits mid-write would end the write short without an error. So a raw stream is written in a loop until done
+    if stream is None:  # the interpreter's stream for a descriptor that was closed when it started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     raw = getattr(stream, "buffer", None)
     if not isinstance(raw, io.RawIOBase):
         stream.write(text)
@@ -204,8 +208,8 @@ def _write(stream, text: str) -> None:
 def _drop(stream) -> None:
     # after a failed write to the process's own stdout or stderr, its descriptor to os.devnull (Python's note on
     # SIGPIPE): the text still buffered would fail the interpreter's flush at exit and turn the exit code into 120.
-    # A caller's stream stays as it is
-    if stream is sys.__stdout__ or stream is sys.__stderr__:
+    # A caller's stream, and None, the stream of a descriptor closed at start-up, stay as they are
+    if stream is not None and (stream is sys.__stdout__ or stream is sys.__stderr__):
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), stream.fileno())
 

@@ -24,7 +24,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import NoConvergenceError, OutOfRangeError
+from .errors import OutOfRangeError
 from .linalg import SpectralDecomposition, _count, _dagger, _descending, _member, _partial_trace, _solve, _Vocabulary
 from .states import BellKind, _bell_ket, _check_densities, _densities_clean, _projector, _two_qubit_stack
 
@@ -110,33 +110,27 @@ def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSchem
     # place; C-ordered, the clone of eigenvector k of row r is the contiguous 4x4 at [r, k], so the reduce adds whole
     # clones in k order from +0.0: (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The
     # remix check vets eigh's norms. Each solve runs under the window's errstate, not one of its own, so a solve that
-    # fails leaves NaN rows, which fail the check. A window that is not clean, or whose solve raised, has its rounds
-    # checked one by one (_check_densities repeats each solve on the same bytes, guarded), so its first failing round
-    # raises. The last clone stack is freed before the check, and the loop kept out of _iterate's frame: held, it
-    # doubles a block's page faults
-    chain, window, failure = [rhos], [], None
+    # fails leaves NaN rows, which fail the check. A window that is not clean has its rounds checked one by one
+    # (_check_densities repeats each solve on the same bytes, guarded), so its first failing round raises. The last
+    # clone stack is freed before the check, and the loop kept out of _iterate's frame: held, it doubles a block's
+    # page faults
+    chain, window = [rhos], []
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for _ in range(count):
-                weights, vectors = spectra
-                kets = vectors.swapaxes(-1, -2)
-                clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
-                np.multiply(weights[:, :, None, None], clones, out=clones)
-                chain.append(remixed := np.add.reduce(clones, axis=1, initial=0.0))
-                spectra = _descending(*_solve("eigh", (remixed + _dagger(remixed)) / 2, guard=False))
-                window.append((remixed, spectra))
-        except np.linalg.LinAlgError as exc:
-            failure = exc
-        else:
-            del clones
-            if _clean(scheme, np.concatenate(chain), len(rhos), np.concatenate([values for _, (values, _) in window])):
-                return window
+        for _ in range(count):
+            weights, vectors = spectra
+            kets = vectors.swapaxes(-1, -2)
+            clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
+            np.multiply(weights[:, :, None, None], clones, out=clones)
+            chain.append(remixed := np.add.reduce(clones, axis=1, initial=0.0))
+            spectra = _descending(*_solve("eigh", (remixed + _dagger(remixed)) / 2, guard=False))
+            window.append((remixed, spectra))
+        del clones
+        if _clean(scheme, np.concatenate(chain), len(rhos), np.concatenate([values for _, (values, _) in window])):
+            return window
     for inputs, outputs in zip(chain, chain[1:]):
         if (gap := _remix_gap(scheme, inputs, outputs)) > REMIX_TOL:
             raise RuntimeError(f"eigenbasis remixing deviates from the direct channel by {gap:.3e}")
         _check_densities(outputs)
-    if failure is not None:
-        raise NoConvergenceError(str(failure)) from failure
     return window
 
 

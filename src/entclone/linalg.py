@@ -16,9 +16,9 @@ Every eigensolve of the package goes through ``_solve``.  It calls the
 gufuncs that ``numpy.linalg.eigh`` and ``eigvalsh`` call with UPLO='L', under
 the same floating-point handling, without the wrapper around them: for one
 4x4 matrix the wrapper's array, type and shape handling cost about twice the
-solve itself.  ``tests/test_linalg.py`` pins ``_solve`` to the two NumPy
-functions bit for bit, so a NumPy build whose private gufuncs differ fails
-there by name.
+solve itself.  A solve that fails raises NoConvergenceError, whoever called
+it.  ``tests/test_linalg.py`` pins ``_solve`` to the two NumPy functions bit
+for bit, so a NumPy build whose private gufuncs differ fails there by name.
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ _SOLVERS = {"eigh": _umath_linalg.eigh_lo, "eigvalsh": _umath_linalg.eigvalsh_lo
 
 
 def _no_convergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    raise NoConvergenceError("Eigenvalues did not converge")
 
 
 def _solve(kind: str, m: np.ndarray, guard: bool = True):
     # numpy.linalg.<kind>(m): eigh's (values, vectors) or eigvalsh's values, ascending, of each Hermitian matrix of a
     # complex128 or float64 stack, its lower triangle read. The same gufunc on the same array under the same errstate,
-    # so a failed solve raises LinAlgError. guard=False leaves that errstate out, for a caller that runs under
+    # but a failed solve raises NoConvergenceError. guard=False leaves that errstate out, for a caller that runs under
     # np.errstate(invalid="ignore") and checks the outputs NaN-safely: there a failed solve's rows read NaN
     if not guard:
         return _SOLVERS[kind](m)
@@ -158,10 +158,7 @@ def _hermitian_solve(kind: str, m: np.ndarray):
             _finite(m)
             raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
         hermitian = (m + m_dagger) / 2
-    try:
-        return _solve(kind, hermitian)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    return _solve(kind, hermitian)
 
 
 def _descending(values: np.ndarray, vectors: np.ndarray) -> SpectralDecomposition:

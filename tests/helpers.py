@@ -82,6 +82,12 @@ def count_solves(monkeypatch):
     return calls
 
 
+def fail_solves(monkeypatch, kind):
+    """Make every solve of kind fail from here on as LAPACK's non-convergence does: its gufunc runs on a NaN copy."""
+    solver = linalg._SOLVERS[kind]
+    monkeypatch.setitem(linalg._SOLVERS, kind, lambda m: solver(np.full_like(m, np.nan)))
+
+
 def package_env():
     """os.environ with the imported entclone's source directory first on PYTHONPATH."""
     src = str(Path(entclone.__file__).resolve().parents[1])

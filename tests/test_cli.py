@@ -5,6 +5,7 @@ import json
 import locale
 import os
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from entclone import cli, cloning
 from entclone.cli import CSV_HEADER, MAX_GRID, main
 from entclone.states import MAX_STATE_BYTES
 
-from helpers import ClosedPipeStream, FullStream, package_env
+from helpers import ClosedPipeStream, FullStream, fail_solves, package_env
 
 
 def run_cli(args, capsys):
@@ -181,6 +182,40 @@ def test_a_failed_stdout_write_is_one_line_and_exit_1(argv, stream, message, tmp
     # an in-process caller keeps its streams: descriptor 1 is not pointed at os.devnull either
     after = os.fstat(1)
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+
+
+@pytest.mark.parametrize("argv", _WRITING_ARGVS, ids=" ".join)
+def test_a_closed_stdout_is_one_line_and_exit_1(argv, tmp_path, monkeypatch):
+    # a descriptor 1 closed when the interpreter started leaves sys.stdout and sys.__stdout__ None
+    err = io.StringIO()
+    with monkeypatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(sys, "stdout", None)
+        patch.setattr(sys, "__stdout__", None)
+        try:
+            code = main(_argv(argv, tmp_path))
+        except SystemExit as exc:
+            code = exc.code
+    assert (code, err.getvalue()) == (1, "cannot write stdout: [Errno 9] Bad file descriptor\n")
+
+
+@pytest.mark.parametrize("argv, code", [(["sweep", "--grid", "1"], 1),
+                                        (["interval", "--scheme", "local", "--tol", "1e-30"], 1),
+                                        (["analyze", "--input", "{dir}/missing.json"], 2)],
+                         ids=["usage", "stall", "input"])
+def test_a_closed_stderr_keeps_the_exit_code(argv, code, tmp_path, monkeypatch, capsys):
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None)
+        patch.setattr(sys, "__stderr__", None)
+        assert run_cli(argv, capsys)[0] == code
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_child_started_with_stdout_closed_is_one_line_and_exit_1():
+    # as `entclone sweep --grid 3 >&-` in a shell
+    command = f"{shlex.quote(sys.executable)} -m entclone.cli sweep --grid 3 >&-"
+    done = subprocess.run(["sh", "-c", command], stderr=subprocess.PIPE, text=True, env=package_env())
+    assert (done.returncode, done.stderr) == (1, "cannot write stdout: [Errno 9] Bad file descriptor\n")
 
 
 def _module_env(unbuffered=False):
@@ -676,6 +711,12 @@ def test_analyze_state_the_eigensolver_cannot_diagonalize_is_an_invalid_input(tm
     assert code == 2
     assert out == ""
     assert err == "NoConvergenceError: Eigenvalues did not converge\n"
+
+
+def test_interval_whose_pt_solve_does_not_converge_is_one_line_and_exit_1(monkeypatch, capsys):
+    fail_solves(monkeypatch, "eigvalsh")
+    assert run_cli(["interval", "--scheme", "local"], capsys) == (
+        1, "", "NoConvergenceError: Eigenvalues did not converge\n")
 
 
 def test_analyze_valid_two_by_two_state_is_an_invalid_input(tmp_path, capsys):

@@ -10,10 +10,14 @@ from entclone import (
     NoConvergenceError,
     NotHermitianError,
     NotPsdError,
+    bmax,
+    concurrence,
+    entanglement_interval,
     hermitian_eig,
     iterate,
     partial_trace,
     partial_transpose,
+    ppt_verdict,
     psd_sqrt,
     validate_density,
 )
@@ -23,7 +27,7 @@ from entclone.linalg import _dagger, _eigh, _solve
 from entclone.separability import _PT_INDEX, _verdict
 from entclone.states import _check_densities
 
-from helpers import psi_minus, random_density, random_hermitian, with_member
+from helpers import fail_solves, psi_minus, random_density, random_hermitian, with_member
 
 
 def test_dagger_is_conjugate_transpose():
@@ -253,14 +257,39 @@ def test_solve_has_the_bits_of_numpy_linalg(name):
 def test_a_non_finite_stack_fails_the_solve_as_it_fails_numpy_linalg():
     stack = _random_stack(3)
     stack[1, 2, 2] = np.nan
-    for solve in (np.linalg.eigvalsh, lambda m: _solve("eigvalsh", m), lambda m: _verdict(m)[0]):
-        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        np.linalg.eigvalsh(stack)
+    for solve in (lambda m: _solve("eigvalsh", m), lambda m: _verdict(m)[0]):
+        with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
             solve(stack)
     # unguarded, under an errstate that ignores the invalid flag, the failed row reads NaN and nothing is raised
     with np.errstate(invalid="ignore"):
         values, vectors = _solve("eigh", stack, guard=False)
     assert np.isnan(values[1]).all() and np.isnan(vectors[1]).all()
     assert not np.isnan(values[[0, 2]]).any()
+
+
+_MIXED = np.eye(4) / 4
+
+# each public function that solves, with each kind of solve it makes
+_SOLVING = {
+    "ppt_verdict": (lambda: ppt_verdict(_MIXED), ("eigh", "eigvalsh")),
+    "bmax": (lambda: bmax(_MIXED), ("eigh", "eigvalsh")),
+    "concurrence": (lambda: concurrence(_MIXED), ("eigh", "eigvalsh")),
+    "validate_density": (lambda: validate_density(_MIXED), ("eigh",)),
+    "iterate": (lambda: iterate(_MIXED, "nonlocal", 2), ("eigh",)),
+    "entanglement_interval": (lambda: entanglement_interval("local"), ("eigvalsh",)),
+}
+_SOLVING_KINDS = [(name, kind) for name, (_, kinds) in _SOLVING.items() for kind in kinds]
+
+
+@pytest.mark.parametrize("name, kind", _SOLVING_KINDS, ids=["-".join(pair) for pair in _SOLVING_KINDS])
+def test_a_solve_that_does_not_converge_raises_no_convergence_from_every_public_function(name, kind, monkeypatch):
+    # a failed computation, not a bad argument: the RuntimeError of the errors contract, whichever solve failed
+    fail_solves(monkeypatch, kind)
+    with pytest.raises(RuntimeError, match="^Eigenvalues did not converge$") as info:
+        _SOLVING[name][0]()
+    assert type(info.value) is NoConvergenceError
 
 
 def test_a_state_near_the_float_maximum_fails_the_solve_without_a_warning():

@@ -39,3 +39,12 @@ def test_the_readme_library_section_lists_each_module_export():
     lines = re.findall(r"^- `(\w+)`: (.+)$", library, re.M)
     listed = {module: re.findall(r"`(\w+)`", names) for module, names in lines}
     assert listed == {module.__name__.rpartition(".")[2]: module.__all__ for module in MODULES}
+
+
+def test_every_eigensolve_goes_through_the_one_entry_point():
+    # linalg._solve is the package's one eigensolve and NoConvergenceError its one failure: no module calls NumPy's
+    # own eigensolvers or names the error they raise
+    pattern = re.compile(r"LinAlgError|np\.linalg\.eig|linalg\.eig\w*\(")
+    found = [f"{path.name}:{number}: {line.strip()}" for path in sorted(Path(entclone.__file__).parent.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert found == []
