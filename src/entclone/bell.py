@@ -79,9 +79,9 @@ def _correlations(rhos: np.ndarray) -> np.ndarray:
     # 12 of them exact zeros; + 0.0 turns a -0.0 sum into the +0.0 a valid density's positive diagonal gave there
     terms = rhos.reshape(len(rhos), 16).take(_PAIR_INDEX, axis=1) * _PAIR_COEFFICIENTS
     values = (terms[..., 0] + terms[..., 1]) + (terms[..., 2] + terms[..., 3])
-    complex_entries = np.argwhere(np.abs(values.imag) > HERMITIAN_TOL)
-    if len(complex_entries):
-        n, i, j = complex_entries[0]
+    complex_entries = np.abs(values.imag) > HERMITIAN_TOL
+    if complex_entries.any():
+        n, i, j = np.argwhere(complex_entries)[0]
         raise NotHermitianError(f"correlation ({i},{j}) has imaginary part {values[n, i, j].imag:.3e}")
     return values.real + 0.0
 

@@ -37,8 +37,8 @@ from .separability import BISECTION_TOL, _verdict, entanglement_interval
 from .states import _read_density, _two_qubit_stack
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
-_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g"
-# a larger grid would only exhaust memory in np.linspace and the CSV text
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g\n"
+# a larger grid would only exhaust memory in the amplitude array and the CSV text
 MAX_GRID = 1_000_000
 # cloning rounds: (3/5)^k < 2^-52 for every k >= 71, so rounds past that only add roundoff
 MAX_ROUNDS = 100
@@ -135,17 +135,28 @@ def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> tuple[np.ndarr
     return rhos, spectra
 
 
+def _grid(points: int) -> np.ndarray:
+    # the bits of np.linspace(0.0, 1.0, points) without its wrapper: k * (1 / (points - 1)), the last point set to 1
+    alphas = np.arange(points) * (1.0 / (points - 1))
+    alphas[-1] = 1.0
+    return alphas
+
+
+def _csv_rows(*columns: np.ndarray) -> str:
+    # a block's CSV lines in one %: its columns interleaved row by row into one flat list
+    return _CSV_ROW * len(columns[0]) % tuple(np.array(columns).T.ravel().tolist())
+
+
 def _cmd_sweep(args) -> tuple[int, str]:
     if args.iterations and args.scheme != CloneScheme.NONLOCAL.value:
         _PARSER.error("--iterations applies only to --scheme nonlocal")
-    alphas = np.array([args.alpha]) if args.alpha is not None else np.linspace(0.0, 1.0, args.grid)
-    scheme, lines = CloneScheme(args.scheme), [CSV_HEADER]
+    alphas = np.array([args.alpha]) if args.alpha is not None else _grid(args.grid)
+    scheme, texts = CloneScheme(args.scheme), [CSV_HEADER + "\n"]
     for start in range(0, len(alphas), _BLOCK):
         block = alphas[start:start + _BLOCK]
         _, chsh, closed, _, eof, low, _ = _measures(*_clone_block(scheme, args.iterations, block))
-        rows = zip(block.tolist(), chsh.tolist(), closed.tolist(), eof.tolist(), low.tolist())
-        lines.extend(_CSV_ROW % row for row in rows)
-    return 0, "\n".join(lines) + "\n"
+        texts.append(_csv_rows(block, chsh, closed, eof, low))
+    return 0, "".join(texts)
 
 
 def _cmd_table1(args) -> tuple[int, str]:
@@ -168,6 +179,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
     try:
         rhos, spectra = _two_qubit_stack(_read_density(args.input))
         t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rhos, spectra))
+        numeric = bmax_numeric(rhos[0], seed=args.seed) if args.validate_bmax else None
     except (ValueError, NoConvergenceError) as exc:
         return 2, f"{type(exc).__name__}: {exc}"
     lines = [f"trace: {np.trace(rhos[0]).real:.9g}",
@@ -175,8 +187,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
              f"min PT eigenvalue: {low:.9g}", f"verdict: {'entangled' if entangled else 'separable'}", "T matrix:",
              *("  " + " ".join(f"{v:.9g}" for v in row) for row in t),
              f"bmax: {closed:.9g}", f"chsh_pi4: {chsh:.9g}", f"concurrence: {c:.9g}", f"eof: {eof:.9g}"]
-    if args.validate_bmax:
-        numeric = bmax_numeric(rhos[0], seed=args.seed)
+    if numeric is not None:
         lines += [f"bmax numeric (seed {args.seed}): {numeric:.9g}", f"bmax gap: {abs(numeric - closed):.9g}"]
     return 0, "\n".join(lines) + "\n"
 

@@ -197,7 +197,7 @@ def _psd_eigh(m: np.ndarray) -> SpectralDecomposition:
 def _psd_root(decomposition: SpectralDecomposition) -> np.ndarray:
     # psd_sqrt of each matrix of a stack, from its _psd_eigh decomposition
     values, vectors = decomposition
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ _dagger(vectors)
+    root = (vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]) @ _dagger(vectors)
     return (root + _dagger(root)) / 2
 
 

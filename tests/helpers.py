@@ -3,6 +3,7 @@ environment."""
 
 import errno
 import io
+import itertools
 import os
 from pathlib import Path
 
@@ -82,10 +83,11 @@ def count_solves(monkeypatch):
     return calls
 
 
-def fail_solves(monkeypatch, kind):
-    """Make every solve of kind fail from here on as LAPACK's non-convergence does: its gufunc runs on a NaN copy."""
-    solver = linalg._SOLVERS[kind]
-    monkeypatch.setitem(linalg._SOLVERS, kind, lambda m: solver(np.full_like(m, np.nan)))
+def fail_solves(monkeypatch, kind, after=0):
+    """Make every solve of kind past the next ``after`` fail as LAPACK's non-convergence does: its gufunc runs on a
+    NaN copy."""
+    solver, calls = linalg._SOLVERS[kind], itertools.count()
+    monkeypatch.setitem(linalg._SOLVERS, kind, lambda m: solver(m if next(calls) < after else np.full_like(m, np.nan)))
 
 
 def package_env():

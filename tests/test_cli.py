@@ -719,6 +719,14 @@ def test_interval_whose_pt_solve_does_not_converge_is_one_line_and_exit_1(monkey
         1, "", "NoConvergenceError: Eigenvalues did not converge\n")
 
 
+def test_analyze_whose_bmax_cross_check_does_not_converge_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch):
+    # the first eigh-kind solve is the file's own density check; the next is bmax_numeric's check of the same state
+    path = _write_state(tmp_path / "mixed.json", np.eye(4) / 4.0)
+    fail_solves(monkeypatch, "eigh", after=1)
+    assert run_cli(["analyze", "--input", path, "--validate-bmax"], capsys) == (
+        2, "", "NoConvergenceError: Eigenvalues did not converge\n")
+
+
 def test_analyze_valid_two_by_two_state_is_an_invalid_input(tmp_path, capsys):
     path = _write_state(tmp_path / "qubit.json", np.eye(2) / 2.0)
     code, out, err = run_cli(["analyze", "--input", path], capsys)

@@ -57,7 +57,7 @@ from entclone.bell import (
     _chsh,
     _correlations,
 )
-from entclone.cli import _BLOCK, _clone_block, main
+from entclone.cli import _BLOCK, MAX_GRID, _clone_block, main
 from entclone.cloning import REMIX_TOL, _channel, _iterate, bell_clone
 from entclone.entanglement import _FLIP_SIGNS, NOISE_FLOOR, _concurrence, _eof, _spin_flip
 from entclone.linalg import (
@@ -1467,3 +1467,24 @@ def test_cloning_never_increases_eof(rho):
     before = entanglement_of_formation(rho)
     for scheme in (CloneScheme.LOCAL, CloneScheme.NONLOCAL):
         assert entanglement_of_formation(_channel(scheme, rho)) <= before + 1e-12
+
+
+# floats whose %.9g text has its own form: signed zeros, subnormals, the exponent extremes, integer values, specials
+_CSV_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300, 1.0, -3.0, 2.0 ** 53, 1e9, 123456789.0,
+              np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("rows", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+def test_a_block_csv_text_equals_its_per_row_lines(rows):
+    rng = np.random.default_rng(rows)
+    columns = rng.standard_normal((5, rows)) * 10.0 ** rng.integers(-20, 20, (5, rows))
+    flat = columns.reshape(-1)
+    flat[:len(_CSV_EDGES)] = _CSV_EDGES[:flat.size]
+    row = cli._CSV_ROW.removesuffix("\n")
+    expected = "\n".join(row % line for line in zip(*(column.tolist() for column in columns))) + "\n"
+    assert cli._csv_rows(*columns) == expected
+
+
+def test_the_sweep_grid_has_the_bits_of_linspace():
+    for points in [*range(2, 4098), MAX_GRID]:
+        assert cli._grid(points).tobytes() == np.linspace(0.0, 1.0, points).tobytes(), points

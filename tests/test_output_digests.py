@@ -26,6 +26,13 @@ DIGESTS = {
         "0d46cfb95b9924e6db69af816be342e064e534d9fbfee818210549150628fde5",
     "sweep --scheme nonlocal --grid 2001":
         "b633b0682661df278687fa7a96be6a1d6e47dde967a5ed9845d61571fedf3ac8",
+    # one row past a whole row block: the last block is a single row
+    "sweep --scheme pure --grid 513":
+        "e782a62f9cf955c4a839e94dd53601a2dbc2fef01b9a6c18e97b379dc93f15f6",
+    "sweep --scheme local --grid 513":
+        "b7b5aa47d92700a6059bf3a215a77654e76c4e87daf5dfd093abba8db9a575b9",
+    "sweep --scheme nonlocal --grid 513":
+        "f8606d21c5bf44d466873223147dec5a7a887c02f9c4305edbd4e72f7b041f93",
     "sweep --scheme nonlocal --iterations 2 --grid 101":
         "f6c51218b580ed2f187555e97e5ccffcfbe8db448864e7c5c3c38297c869e5b6",
     # high K: the small columns print 9 digits down to roundoff, so any reordered arithmetic shows.
