@@ -25,7 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import OutOfRangeError
-from .linalg import SpectralDecomposition, _count, _dagger, _descending, _member, _partial_trace, _solve, _Vocabulary
+from .linalg import SpectralDecomposition, _count, _descending, _member, _partial_trace, _solve, _Vocabulary
 from .states import BellKind, _bell_ket, _check_densities, _densities_clean, _projector, _two_qubit_stack
 
 __all__ = [
@@ -60,26 +60,31 @@ class CloneScheme(enum.Enum, metaclass=_Vocabulary):
     NONLOCAL = "nonlocal"
 
 
-def _channel(scheme: CloneScheme, rhos: np.ndarray) -> np.ndarray:
+def _channel(scheme: CloneScheme, rhos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # unchecked: a 4x4 density matrix, or each of a stack (..., 4, 4), already validated or built by the caller, sent
-    # through scheme's channel.  Affine, not linear: the constant identity term assumes tr rho = 1.  LOCAL is the
-    # tensor square of the single-qubit shrink map, rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36.
-    # Terms after the first are added in place, the same sums left to right: on an iterate round's (N, 4, 4, 4) clone
-    # stack each temporary is megabytes, and freeing fewer keeps the allocator from handing them back to the system
+    # through scheme's channel. out, if given, is rhos itself, which the channel then overwrites (PURE returns rhos).
+    # Affine, not linear: the constant identity term assumes tr rho = 1.  LOCAL is the tensor square of the
+    # single-qubit shrink map, rho -> (4/9) rho + (1/9) rho_A (x) I + (1/9) I (x) rho_B + I/36, summed left to right
     if scheme is CloneScheme.PURE:
         return rhos
     if scheme is CloneScheme.NONLOCAL:
-        out = REGISTER_SHRINK * rhos
+        out = np.multiply(REGISTER_SHRINK, rhos, out=out)
         out += _REGISTER_NOISE
         return out
-    # rho_a (x) I and I (x) rho_b, indexed [..., a, b, a', b'], copied into zeros: each nonzero entry is the product
-    # np.kron forms, and a zero whose sign differs from kron's is made +0.0 by the identity term
-    a_eye, eye_b = terms = np.zeros((2, *rhos.shape[:-2], 2, 2, 2, 2), dtype=complex)
-    a_eye[..., :, 0, :, 0] = a_eye[..., :, 1, :, 1] = _partial_trace(rhos, (2, 2), "first")
-    eye_b[..., 0, :, 0, :] = eye_b[..., 1, :, 1, :] = _partial_trace(rhos, (2, 2), "second")
-    a_eye, eye_b = np.multiply(1.0 / 9.0, terms, out=terms).reshape(2, *rhos.shape)
-    out = (4.0 / 9.0) * rhos + a_eye
-    out += eye_b
+    # the partial traces first, as out may be rhos. rho_a (x) I holds rho_a at rows and columns (2a + b, 2a' + b), the
+    # slices a0 (b = 0) and a1 (b = 1); I (x) rho_b holds rho_b at (2a + b, 2a + b'), the slices b0 (a = 0) and b1
+    # (a = 1). Only those entries get a term: the +0.0 each term holds elsewhere would only turn a -0.0 into +0.0,
+    # which the identity term, added to every entry last, does too, so the bytes are those of the full sums
+    rho_a = _partial_trace(rhos, (2, 2), "first")
+    rho_b = _partial_trace(rhos, (2, 2), "second")
+    rho_a *= 1.0 / 9.0
+    rho_b *= 1.0 / 9.0
+    out = np.multiply(4.0 / 9.0, rhos, out=out)
+    a0, a1, b0, b1 = out[..., ::2, ::2], out[..., 1::2, 1::2], out[..., :2, :2], out[..., 2:, 2:]
+    a0 += rho_a
+    a1 += rho_a
+    b0 += rho_b
+    b1 += rho_b
     out += _QUBIT_PAIR_NOISE
     return out
 
@@ -104,28 +109,39 @@ def _clean(scheme: CloneScheme, chain: np.ndarray, n: int, values: np.ndarray) -
     return _remix_gap(scheme, chain[:-n], chain[n:]) <= REMIX_TOL and _densities_clean(chain[n:], values)
 
 
-def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, count: int) -> list:
+def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, count: int, space: tuple) -> list:
     # count iterate rounds from a checked (rhos, spectra), as (stack, decomposition) pairs, made unchecked and then
-    # checked as one stack. The clones, (N, 4, 4, 4) and fresh for every scheme (PURE returns them), are weighted in
-    # place; C-ordered, the clone of eigenvector k of row r is the contiguous 4x4 at [r, k], so the reduce adds whole
-    # clones in k order from +0.0: (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it pairs them). The
-    # remix check vets eigh's norms. Each solve runs under the window's errstate, not one of its own, so a solve that
-    # fails leaves NaN rows, which fail the check. A window that is not clean has its rounds checked one by one
-    # (_check_densities repeats each solve on the same bytes, guarded), so its first failing round raises. The last
-    # clone stack is freed before the check, and the loop kept out of _iterate's frame: held, it doubles a block's
-    # page faults
-    chain, window = [rhos], []
+    # checked as one stack. The window owns its chain of stacks (its input first) and eigh's ascending eigenvalues and
+    # eigenvectors, a slot per round, and the pairs are views of them; every round works in space, the _iterate call's
+    # (N, 4, 4, 4) clone stack, (N, 4, 4) conjugate buffer and (N, 4, 4) Hermitian part. The C-ordered clone of
+    # eigenvector k of row r is the contiguous 4x4 at [r, k]: weighted in place, the reduce adds whole clones in k
+    # order from +0.0, (((0 + w0 C0) + w1 C1) + w2 C2) + w3 C3 (over an innermost k it would pair them). The remix
+    # check vets eigh's norms. Each solve runs under the window's errstate, not one of its own, so a solve that fails
+    # leaves NaN rows, which fail the check. A window that is not clean has its rounds checked one by one
+    # (_check_densities repeats each solve on the same bytes, guarded), so its first failing round raises
+    clones, conj, hermitian = space
+    chain = np.empty((count + 1, *rhos.shape), dtype=complex)
+    chain[0] = rhos
+    values, vectors = np.empty((count, len(rhos), 4)), np.empty((count, *rhos.shape), dtype=complex)
+    made = _descending(values, vectors)
+    # each round's input decomposition, the window's and then the window's own but the last, as the weights and kets
+    # the round broadcasts; the conjugate buffer's views take a ket stack's conjugate and give it as bras, and give a
+    # stack's conjugate written there as its conjugate transpose
+    weights = [spectra.eigenvalues[..., None, None], *made.eigenvalues[:-1, ..., None, None]]
+    kets = [spectra.eigenvectors.swapaxes(-1, -2)[..., :, None], *made.eigenvectors[:-1].swapaxes(-1, -2)[..., :, None]]
+    conj_kets, bras, dagger = conj[..., :, None], conj[..., None, :], conj.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(count):
-            weights, vectors = spectra
-            kets = vectors.swapaxes(-1, -2)
-            clones = _channel(scheme, np.multiply(kets[..., :, None], kets.conj()[..., None, :], order="C"))
-            np.multiply(weights[:, :, None, None], clones, out=clones)
-            chain.append(remixed := np.add.reduce(clones, axis=1, initial=0.0))
-            spectra = _descending(*_solve("eigh", (remixed + _dagger(remixed)) / 2, guard=False))
-            window.append((remixed, spectra))
-        del clones
-        if _clean(scheme, np.concatenate(chain), len(rhos), np.concatenate([values for _, (values, _) in window])):
+        for weight, ket, remixed, solved in zip(weights, kets, chain[1:], zip(values, vectors)):
+            np.conjugate(ket, out=conj_kets)
+            np.multiply(ket, bras, out=clones)
+            np.multiply(weight, _channel(scheme, clones, out=clones), out=clones)
+            np.add.reduce(clones, axis=1, initial=0.0, out=remixed)
+            np.conjugate(remixed, out=conj)
+            np.add(remixed, dagger, out=hermitian)
+            np.divide(hermitian, 2, out=hermitian)
+            _solve("eigh", hermitian, guard=False, out=solved)
+        window = list(zip(chain[1:], map(SpectralDecomposition, *made)))
+        if _clean(scheme, chain.reshape(-1, 4, 4), len(rhos), made.eigenvalues.reshape(-1, 4)):
             return window
     for inputs, outputs in zip(chain, chain[1:]):
         if (gap := _remix_gap(scheme, inputs, outputs)) > REMIX_TOL:
@@ -136,11 +152,14 @@ def _window(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneSchem
 
 def _iterate(rhos: np.ndarray, spectra: SpectralDecomposition, scheme: CloneScheme, n: int) -> Iterator[tuple]:
     # iterate over an (N, 4, 4) stack of valid states and its decomposition: yields n + 1 (stack, decomposition) pairs,
-    # the rounds in windows of _BLOCK // N of them (one at least), each window checked before its first round is yielded
+    # the rounds in windows of _BLOCK // N of them (one at least), each window checked before its first round is
+    # yielded. One workspace serves every round of the call: freed and allocated again per round or per window, a
+    # 512-row block's buffers would go back to the system and be faulted in again as zeroed pages
     yield rhos, spectra
     size = max(1, _BLOCK // len(rhos))
+    space = np.empty((len(rhos), 4, 4, 4), dtype=complex), np.empty(rhos.shape, complex), np.empty(rhos.shape, complex)
     for start in range(0, n, size):
-        window = _window(rhos, spectra, scheme, min(size, n - start))
+        window = _window(rhos, spectra, scheme, min(size, n - start), space)
         yield from window
         rhos, spectra = window[-1]
 

@@ -62,15 +62,16 @@ def _no_convergence(err, flag):
     raise NoConvergenceError("Eigenvalues did not converge")
 
 
-def _solve(kind: str, m: np.ndarray, guard: bool = True):
+def _solve(kind: str, m: np.ndarray, guard: bool = True, out: tuple = ()):
     # numpy.linalg.<kind>(m): eigh's (values, vectors) or eigvalsh's values, ascending, of each Hermitian matrix of a
     # complex128 or float64 stack, its lower triangle read. The same gufunc on the same array under the same errstate,
     # but a failed solve raises NoConvergenceError. guard=False leaves that errstate out, for a caller that runs under
-    # np.errstate(invalid="ignore") and checks the outputs NaN-safely: there a failed solve's rows read NaN
+    # np.errstate(invalid="ignore") and checks the outputs NaN-safely: there a failed solve's rows read NaN. out, the
+    # arrays to write the outputs into (one per output, as eigh's gufunc refuses out=None), is passed positionally
     if not guard:
-        return _SOLVERS[kind](m)
+        return _SOLVERS[kind](m, *out)
     with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _SOLVERS[kind](m)
+        return _SOLVERS[kind](m, *out)
 
 
 class SpectralDecomposition(NamedTuple):

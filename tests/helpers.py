@@ -73,21 +73,23 @@ def count_calls(monkeypatch, module, names):
 
 
 def count_solves(monkeypatch):
-    """Count the stacked eigh and eigvalsh solves made from here on, each a call of a gufunc linalg._solve looks up."""
+    """Count the stacked eigh and eigvalsh solves made from here on, each a call of a gufunc linalg._solve looks up
+    (with the output arrays it is given, if any)."""
     calls = dict.fromkeys(linalg._SOLVERS, 0)
     for kind, solver in linalg._SOLVERS.items():
-        def counting(m, _kind=kind, _solver=solver):
+        def counting(m, *out, _kind=kind, _solver=solver):
             calls[_kind] += 1
-            return _solver(m)
+            return _solver(m, *out)
         monkeypatch.setitem(linalg._SOLVERS, kind, counting)
     return calls
 
 
 def fail_solves(monkeypatch, kind, after=0):
     """Make every solve of kind past the next ``after`` fail as LAPACK's non-convergence does: its gufunc runs on a
-    NaN copy."""
+    NaN copy, writing into the output arrays it is given, if any."""
     solver, calls = linalg._SOLVERS[kind], itertools.count()
-    monkeypatch.setitem(linalg._SOLVERS, kind, lambda m: solver(m if next(calls) < after else np.full_like(m, np.nan)))
+    monkeypatch.setitem(
+        linalg._SOLVERS, kind, lambda m, *out: solver(m if next(calls) < after else np.full_like(m, np.nan), *out))
 
 
 def package_env():

@@ -209,8 +209,8 @@ def test_remix_check_holds_its_tolerance_edge(scheme, monkeypatch):
     original = _channel
     delta = {}
 
-    def shifted(scheme, rho):
-        out = original(scheme, rho)
+    def shifted(scheme, rho, out=None):
+        out = original(scheme, rho, out=out)
         if rho.ndim == 3:
             out = out.copy()
             out[-1, 0, 0] += delta["value"]

@@ -4,6 +4,7 @@ The kernels take (N, 4, 4) stacks; a public measure is the N=1 case, and a
 stack must give every state the bytes it gets alone.
 """
 
+import itertools
 import json
 import warnings
 from unittest import mock
@@ -629,10 +630,9 @@ class _Fault:
 
 
 def _fault_clones(clones, kind, row):
-    # the same change to the four clones of one row, so the remix carries it into that row's state. REMIX_TOL,
-    # HERMITIAN_TOL and TRACE_TOL are all 1e-10: a defect of 1.5e-10 and a trace off by 3e-10 each come with a gap of
-    # 0.75e-10, which passes the remix check first
-    clones = clones.copy()
+    # the same change, in place, to the four clones of one row, so the remix carries it into that row's state.
+    # REMIX_TOL, HERMITIAN_TOL and TRACE_TOL are all 1e-10: a defect of 1.5e-10 and a trace off by 3e-10 each come with
+    # a gap of 0.75e-10, which passes the remix check first
     faulted = clones[row]
     if kind == "gap":
         faulted[:, 0, 0] += 10 * REMIX_TOL
@@ -662,23 +662,25 @@ def _run_with_fault(monkeypatch, rounds, kind, k, row):
     # the pairs rounds() yields and the error it raises, with the fault put into the k-th round: the clones of its
     # remix, or its eigensolve (an eigenvalue of row moved below -PSD_TOL, NoConvergenceError, or the gufunc's own
     # failure on a NaN row: NaN values and vectors under the window's errstate, NoConvergenceError under _solve's guard)
+    # Both seams write into the out they are given, and the fault is judged on the input before the channel overwrites
+    # it
     fault = _Fault(k)
     channel, eigh = cloning._channel, linalg._SOLVERS["eigh"]
 
-    def faulty_channel(scheme, rhos):
-        out = channel(scheme, rhos)
-        return _fault_clones(out, kind, row) if rhos.ndim == 4 and fault(rhos) else out
+    def faulty_channel(scheme, rhos, out=None):
+        hit = rhos.ndim == 4 and fault(rhos)
+        out = channel(scheme, rhos, out=out)
+        return _fault_clones(out, kind, row) if hit else out
 
-    def faulty_eigh(m):
+    def faulty_eigh(m, *out):
         hit = fault(m)
         if hit and kind == "linalg":
             raise NoConvergenceError("Eigenvalues did not converge")
         if hit and kind == "nonconvergence":
             m = m.copy()
             m[row] = np.nan
-        values, vectors = eigh(m)
+        values, vectors = eigh(m, *out)
         if hit and kind == "psd":
-            values = values.copy()
             values[row, 0] = -10 * PSD_TOL
         return values, vectors
 
@@ -752,10 +754,10 @@ def _counting_channel(monkeypatch):
     made = []
     channel = cloning._channel
 
-    def counting(scheme, rhos):
+    def counting(scheme, rhos, out=None):
         if rhos.ndim == 4:
             made.append(len(rhos))
-        return channel(scheme, rhos)
+        return channel(scheme, rhos, out=out)
 
     monkeypatch.setattr(cloning, "_channel", counting)
     return made
@@ -790,11 +792,11 @@ def test_a_window_whose_solve_raised_is_never_yielded_short(n, window, monkeypat
     spectra = _psd_eigh(rhos)
     eigh, calls = linalg._SOLVERS["eigh"], []
 
-    def once(m):
+    def once(m, *out):
         calls.append(m)
         if len(calls) == k:
             raise NoConvergenceError("Eigenvalues did not converge")
-        return eigh(m)
+        return eigh(m, *out)
 
     monkeypatch.setitem(linalg._SOLVERS, "eigh", once)
     yielded = []
@@ -845,6 +847,54 @@ def test_no_iterate_window_holds_more_than_a_block(n, monkeypatch):
     held = [len(outputs) for outputs, _ in checked]
     assert max(held) <= max(_BLOCK, n)
     assert held == [size * n, size * n, n]
+
+
+@pytest.mark.parametrize("scheme", [CloneScheme.NONLOCAL, CloneScheme.LOCAL])
+@pytest.mark.parametrize("n", [1, 200, _BLOCK])
+def test_no_round_iterate_yields_is_overwritten(n, scheme):
+    # every round of one call is made through the same workspace, but each yielded stack and decomposition lives in
+    # its window's own arrays: held to the end, each keeps the bytes it was yielded with, and no two windows share them
+    rhos = _random_full_rank(n)
+    size = _window_rounds(n)
+    held, bytes_at_yield = [], []
+    for stack, spectra in _iterate(rhos, _psd_eigh(rhos), scheme, 2 * size + 1):
+        held.append((stack, *spectra))
+        bytes_at_yield.append([part.tobytes() for part in held[-1]])
+    assert len(held) == 2 * size + 2
+    assert [[part.tobytes() for part in pair] for pair in held] == bytes_at_yield
+    # rounds 1 to size are the first window, then size more, then the last round alone
+    windows = [held[1:1 + size], held[1 + size:1 + 2 * size], held[1 + 2 * size:]]
+    for first, second in itertools.combinations(windows, 2):
+        for pair in (first[0], first[-1]):
+            for other in (second[0], second[-1]):
+                assert not any(np.shares_memory(a, b) for a in pair for b in other)
+
+
+def test_every_round_of_an_iterate_call_gets_one_clone_buffer(monkeypatch):
+    # the clone stack each round hands cloning._channel as out is the _iterate call's workspace, one buffer over all
+    # of its windows; the remix check's direct channel writes no buffer. Each call, its buffer held, gets its own
+    given = []
+    channel = cloning._channel
+
+    def recording(scheme, rhos, out=None):
+        given.append((rhos.ndim, out))
+        return channel(scheme, rhos, out=out)
+
+    monkeypatch.setattr(cloning, "_channel", recording)
+    buffers = []
+    for n in (1, 200, 200):
+        rhos = _random_full_rank(n)
+        size = _window_rounds(n)
+        given.clear()
+        rounds = list(_iterate(rhos, _psd_eigh(rhos), CloneScheme.NONLOCAL, 2 * size + 1))
+        assert len(rounds) == 2 * size + 2
+        clones = [out for ndim, out in given if ndim == 4]
+        assert len(clones) == 2 * size + 1
+        assert all(out is clones[0] for out in clones)
+        assert clones[0].shape == (n, 4, 4, 4)
+        assert [out for ndim, out in given if ndim == 3] == [None] * 3
+        buffers.append(clones[0])
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
 
 
 def _product_correlations(rhos):
@@ -903,8 +953,9 @@ def test_measurement_kernels_equal_their_references(name):
     _assert_measurement_kernels_equal_their_references(_MEASUREMENT_INPUTS[name]())
 
 
-def _broadcast_channel(scheme, rhos):
-    return _broadcast_local_channel(rhos) if scheme is CloneScheme.LOCAL else _channel(scheme, rhos)
+def _broadcast_channel(scheme, rhos, out=None):
+    # a fresh array for LOCAL, whatever out is: the iterate round uses the array the channel returns
+    return _broadcast_local_channel(rhos) if scheme is CloneScheme.LOCAL else _channel(scheme, rhos, out=out)
 
 
 _LOCAL_CHAINS = {
