@@ -121,6 +121,13 @@ def _bmax(t: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(u[:, -1] + u[:, -2], 0.0))
 
 
+def _x_bmax(t: np.ndarray) -> np.ndarray:
+    # _bmax of exactly diagonal T, that of the states the program built: T^T T is then the exact diag(T_ii^2), whose
+    # eigvalsh is that diagonal sorted, so the sum of its two largest has _bmax's bits
+    u = np.sort(t.diagonal(axis1=1, axis2=2) ** 2)
+    return 2.0 * np.sqrt(u[:, 2] + u[:, 1])
+
+
 def bmax(rho: np.ndarray) -> float:
     """Maximum of the CHSH quantity over all measurement directions.
 

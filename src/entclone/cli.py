@@ -28,12 +28,12 @@ from collections import deque
 
 import numpy as np
 
-from .bell import PLANAR_PI4, _bmax, _chsh, _correlations, bmax_numeric
+from .bell import PLANAR_PI4, _bmax, _chsh, _correlations, _x_bmax, bmax_numeric
 from .cloning import _BLOCK, CloneScheme, _iterate, bell_clone
-from .entanglement import _concurrence, _eof
+from .entanglement import _concurrence, _eof, _x_concurrence
 from .errors import NoConvergenceError
-from .linalg import SpectralDecomposition, _psd_eigh
-from .separability import BISECTION_TOL, _verdict, entanglement_interval
+from .linalg import _psd_eigh, _x_entries
+from .separability import BISECTION_TOL, _verdict, _x_pt_min, entanglement_interval
 from .states import _read_density, _two_qubit_stack
 
 CSV_HEADER = "alpha,chsh_pi4,bmax,eof,min_pt_eig"
@@ -118,21 +118,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-def _measures(rhos, spectra):
-    # every state reaching here was built or checked, and spectra is the decomposition that checked it
-    t = _correlations(rhos)
-    low, entangled = _verdict(rhos)
-    c = _concurrence(rhos, spectra)[1]
-    return t, _chsh(t, PLANAR_PI4), _bmax(t), c, _eof(c), low, entangled
-
-
-def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> tuple[np.ndarray, SpectralDecomposition]:
-    # a sweep block's stack and decomposition: one channel round, or 1 + iterations iterate rounds, keeping the last
+def _clone_block(scheme: CloneScheme, iterations: int, alphas) -> np.ndarray:
+    # a sweep block's stack: one channel round, unchecked, or 1 + iterations iterate rounds, keeping the last
     rhos = bell_clone(CloneScheme.PURE if iterations else scheme, alphas)
-    spectra = _psd_eigh(rhos)
     if iterations:
-        rhos, spectra = deque(_iterate(rhos, spectra, scheme, 1 + iterations), maxlen=1).pop()
-    return rhos, spectra
+        rhos = deque(_iterate(rhos, _psd_eigh(rhos), scheme, 1 + iterations), maxlen=1).pop()[0]
+    return rhos
 
 
 def _grid(points: int) -> np.ndarray:
@@ -154,16 +145,17 @@ def _cmd_sweep(args) -> tuple[int, str]:
     scheme, texts = CloneScheme(args.scheme), [CSV_HEADER + "\n"]
     for start in range(0, len(alphas), _BLOCK):
         block = alphas[start:start + _BLOCK]
-        _, chsh, closed, _, eof, low, _ = _measures(*_clone_block(scheme, args.iterations, block))
-        texts.append(_csv_rows(block, chsh, closed, eof, low))
+        # a built block is a real X stack: _x_entries is its density check, and the X-state kernels give its measures
+        rhos = _clone_block(scheme, args.iterations, block)
+        x, t = _x_entries(rhos), _correlations(rhos)
+        texts.append(_csv_rows(block, _chsh(t, PLANAR_PI4), _x_bmax(t), _eof(_x_concurrence(*x)), _x_pt_min(*x)))
     return 0, "".join(texts)
 
 
 def _cmd_table1(args) -> tuple[int, str]:
     singlet = bell_clone(CloneScheme.PURE, [np.sqrt(0.5)])
-    stacks, spectra = zip(*_iterate(singlet, _psd_eigh(singlet), CloneScheme.NONLOCAL, args.steps))
-    spectra = SpectralDecomposition(*map(np.concatenate, zip(*spectra)))
-    eofs = _eof(_concurrence(np.concatenate(stacks), spectra)[1]).tolist()
+    stacks = [rhos for rhos, _ in _iterate(singlet, _psd_eigh(singlet), CloneScheme.NONLOCAL, args.steps)]
+    eofs = _eof(_x_concurrence(*_x_entries(np.concatenate(stacks)))).tolist()
     return 0, "step eof\n" + "".join(f"{step} {eof:.6f}\n" for step, eof in enumerate(eofs))
 
 
@@ -178,7 +170,9 @@ def _cmd_interval(args) -> tuple[int, str]:
 def _cmd_analyze(args) -> tuple[int, str]:
     try:
         rhos, spectra = _two_qubit_stack(_read_density(args.input))
-        t, chsh, closed, c, eof, low, entangled = (m[0] for m in _measures(rhos, spectra))
+        t, (low, entangled), c = _correlations(rhos), _verdict(rhos), _concurrence(rhos, spectra)[1]
+        chsh, closed, eof = _chsh(t, PLANAR_PI4)[0], _bmax(t)[0], _eof(c)[0]
+        t, low, entangled, c = t[0], low[0], entangled[0], c[0]
         numeric = bmax_numeric(rhos[0], seed=args.seed) if args.validate_bmax else None
     except (ValueError, NoConvergenceError) as exc:
         return 2, f"{type(exc).__name__}: {exc}"

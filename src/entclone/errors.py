@@ -4,8 +4,9 @@ The contract of every public function and class: a rejected argument raises Valu
 plain ValueError for non-finite matrix entries, a state file that cannot be read, written or parsed, an unknown
 ``keep``, CloneScheme or BellKind value, or an input NumPy cannot shape into the array needed), so one
 ``except ValueError`` catches every bad argument; a computation that fails on accepted arguments raises RuntimeError
-(NoConvergenceError, or iterate's remix check).  No call raises TypeError, KeyError, IndexError or AttributeError or
-emits a NumPy warning, and none parses a string or casts a bool or a complex number where a real is expected.
+(NoConvergenceError, iterate's remix check, or a state the program built that is not a real X state).  No call raises
+TypeError, KeyError, IndexError or AttributeError or emits a NumPy warning, and none parses a string or casts a bool
+or a complex number where a real is expected.
 """
 
 __all__ = [

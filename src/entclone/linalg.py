@@ -10,7 +10,12 @@ shape (..., n, n) and check once per stack; the public functions check one
 square matrix and call them.  ``_eigh`` holds the finite and Hermiticity
 checks and returns descending views of eigh's arrays, not copies (``_eigvalsh``
 the same checks and eigenvalues alone); ``_psd_eigh`` adds the PSD_TOL floor;
-``_psd_root`` builds the root from its decomposition.
+``_psd_root`` builds the root from its decomposition.  ``_x_entries`` is the
+density check of the stacks the program builds, all real X states (nonzero
+only on the diagonal and the anti-diagonal); the X-state kernels beside
+each general one (``entanglement``, ``separability``, ``bell``) take its
+output.  The split is by input structure, states the program built versus
+states a caller gives, not scalar versus batched: both kinds take stacks.
 
 Every eigensolve of the package goes through ``_solve``.  It calls the
 gufuncs that ``numpy.linalg.eigh`` and ``eigvalsh`` call with UPLO='L', under
@@ -209,6 +214,36 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     NotPsdError.
     """
     return _psd_root(_psd_eigh(_as_square(m)))
+
+
+# flat indices of a 4x4 matrix's diagonal, of its anti-diagonal (entry k at row k, column 3 - k) and of the rest
+_DIAGONAL, _ANTI_DIAGONAL = np.arange(0, 16, 5), np.arange(3, 13, 3)
+_OFF_X = np.flatnonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+
+
+def _pair_low(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # the smaller eigenvalue of each real symmetric 2x2 matrix [[a, c], [c, b]]
+    return (a + b) / 2 - np.hypot((a - b) / 2, c)
+
+
+def _x_entries(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the density check of an (N, 4, 4) stack the program built, whose states must be real X states, zero off the
+    # diagonal and the anti-diagonal: RuntimeError, a fault of the program, unless each such entry and each imaginary
+    # part is exactly 0. Then _psd_eigh's Hermiticity and PSD floor, with the smallest eigenvalue of the two 2x2 blocks
+    # ({0, 3} and {1, 2}) in closed form. Returns the real diagonal and anti-diagonal, (N, 4) each
+    flat = rhos.reshape(len(rhos), 16)
+    if flat.imag.any() or flat[:, _OFF_X].any():
+        raise RuntimeError("a state the program built is not a real X state")
+    diagonal, anti = flat.real[:, _DIAGONAL], flat.real[:, _ANTI_DIAGONAL]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry makes the defect or the minimum inf or NaN
+        defect = float(np.abs(anti - anti[:, ::-1]).max())
+        low = float(np.minimum(_pair_low(diagonal[:, 0], diagonal[:, 3], anti[:, 0]),
+                               _pair_low(diagonal[:, 1], diagonal[:, 2], anti[:, 1])).min())
+    if not defect <= HERMITIAN_TOL:
+        raise NotHermitianError(f"not Hermitian: max |m - m^dagger| = {defect:.3e}")
+    if not low >= -PSD_TOL:
+        raise NotPsdError(f"not positive semidefinite: min eigenvalue = {low:.3e}")
+    return diagonal, anti
 
 
 def _transpose_second(m: np.ndarray) -> np.ndarray:

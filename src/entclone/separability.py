@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloning import CloneScheme, bell_clone
 from .errors import NoConvergenceError, OutOfRangeError
-from .linalg import _dagger, _member, _real, _solve, _transpose_second
+from .linalg import _dagger, _member, _pair_low, _real, _solve, _transpose_second
 from .states import _two_qubit_stack
 
 __all__ = [
@@ -30,7 +30,7 @@ BISECTION_TOL = 1e-8
 
 # flat rho index of each PT entry in the basis order |00>, |11>, |01>, |10>: a permutation similarity, same spectrum.
 # A Bell-family state's one coherence |01><10| moves to |00><11| under the PT, adjacent in this order, so the PT
-# of every state the program builds is tridiagonal here and eigvalsh has no reduction to make
+# of every state interval's bisection builds is tridiagonal here and eigvalsh has no reduction to make
 _PT_INDEX = _transpose_second(np.arange(16).reshape(4, 4))[[0, 3, 1, 2]][:, [0, 3, 1, 2]].ravel()
 
 
@@ -53,6 +53,14 @@ def _verdict(rhos: np.ndarray, tol: float = PPT_TOL) -> tuple[np.ndarray, np.nda
     pt = rhos.reshape(len(rhos), 16).take(_PT_INDEX, axis=1).reshape(len(rhos), 4, 4)
     low = _solve("eigvalsh", (pt + _dagger(pt)) / 2)[:, 0]  # eigvalsh sorts ascending
     return low, low < -tol
+
+
+def _x_pt_min(diagonal: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    # (N,) minimal PT eigenvalues of the states the program built, from their linalg._x_entries: the PT swaps the two
+    # coherences between the blocks {0, 3} and {1, 2}, so the minimum is the smaller of their closed-form low ends.
+    # Within about 1e-16 of _verdict's solve, which states a caller gives and interval's bisection bits keep
+    return np.minimum(_pair_low(diagonal[:, 0], diagonal[:, 3], anti[:, 1]),
+                      _pair_low(diagonal[:, 1], diagonal[:, 2], anti[:, 0]))
 
 
 def ppt_verdict(rho: np.ndarray, tol: float = PPT_TOL) -> SeparabilityVerdict:

@@ -184,11 +184,11 @@ _STATE = "{state}"
         (["analyze", "--input", _STATE], 4),
         # bmax_numeric checks the state it is handed again, through correlation_matrix
         (["analyze", "--input", _STATE, "--validate-bmax"], 5),
-        # the pure input, 4 rounds, then the PT spectrum, T^T T and the concurrence product
-        (["sweep", "--scheme", "nonlocal", "--iterations", "3", "--grid", "300"], 8),
-        # the singlet, one check per step, and one concurrence product for the whole chain
-        (["table1", "--steps", "1"], 3),
-        (["table1", "--steps", "5"], 7),
+        # the pure input and 4 rounds; the measures of the last round are closed forms of its X entries
+        (["sweep", "--scheme", "nonlocal", "--iterations", "3", "--grid", "300"], 5),
+        # the singlet and one check per step; the chain's concurrences are closed forms of its X entries
+        (["table1", "--steps", "1"], 2),
+        (["table1", "--steps", "5"], 6),
     ],
     ids=["analyze", "analyze-validate-bmax", "sweep-iterations-3", "table1-1", "table1-5"],
 )
@@ -214,12 +214,11 @@ def test_public_iterate_and_concurrence_diagonalize_each_state_once(n, monkeypat
 
 
 @pytest.mark.parametrize("scheme", [scheme.value for scheme in CloneScheme])
-def test_each_sweep_block_makes_one_eigh_and_three_eigvalsh(scheme, monkeypatch, capsys):
-    # per block: eigh for the concurrence root, eigvalsh for the concurrence product, the PT spectrum and T^T T
+def test_each_sweep_block_makes_no_eigensolve(scheme, monkeypatch, capsys):
+    # a plain block's density check, concurrence, PT minimum and bmax are closed forms of its X entries
     calls = count_solves(monkeypatch)
     assert main(["sweep", "--scheme", scheme, "--grid", "2001"]) == 0
-    blocks = -(-2001 // _BLOCK)
-    assert calls == {"eigh": blocks, "eigvalsh": 3 * blocks}
+    assert calls == {"eigh": 0, "eigvalsh": 0}
     assert capsys.readouterr().out.count("\n") == 2002
 
 
@@ -394,7 +393,7 @@ def test_index_arithmetic_equals_the_matrix_products_it_replaced():
     # included, on random states and on Bell-clone stacks full of exact zeros
     rng = np.random.default_rng(5)
     alphas = np.linspace(0.0, 1.0, _BLOCK + 3)
-    stacks = [np.array([random_density(rng) for _ in alphas]), _clone_block(CloneScheme.NONLOCAL, 2, alphas)[0]]
+    stacks = [np.array([random_density(rng) for _ in alphas]), _clone_block(CloneScheme.NONLOCAL, 2, alphas)]
     stacks += [bell_clone(scheme, alphas) for scheme in CloneScheme]
     for rhos in stacks:
         traces = np.trace(rhos[:, None, None] @ _PAULI_PAIRS, axis1=-2, axis2=-1)
@@ -404,7 +403,7 @@ def test_index_arithmetic_equals_the_matrix_products_it_replaced():
 
 def test_concurrence_of_a_reused_decomposition_equals_a_fresh_solve():
     # _concurrence takes the decomposition a density check made: of a whole stack in an iterate
-    # round, or of one state at a time and concatenated, as table1 does; both must give the bytes
+    # round, or of one state at a time and concatenated; both must give the bytes
     # of diagonalizing the stack again
     rng = np.random.default_rng(8)
     alphas = np.linspace(0.0, 1.0, _BLOCK + 3)
@@ -1011,8 +1010,8 @@ _PROGRAM_STATES = {
 @pytest.mark.parametrize("name", list(_PROGRAM_STATES))
 def test_values_only_concurrence_has_the_bits_of_the_full_solve_on_program_states(name):
     # on the Bell family, its clones and their iterate rounds, this LAPACK build's eigvalsh gives eigh's eigenvalues
-    # bit for bit (with NumPy 2.4.6 on 900 006 grid states and four 101-round chains), so the command line prints
-    # the bytes the full solve gave
+    # bit for bit (with NumPy 2.4.6 on 900 006 grid states and four 101-round chains), so on them the oracle of the
+    # X-state kernels (tests/test_xstate.py) has the bytes the full solve gave
     built = _PROGRAM_STATES[name]()
     rhos, spectra = built if isinstance(built, tuple) else (built, _psd_eigh(built))
     for got, expected in zip(_concurrence(rhos, spectra), _eigh_concurrence(rhos, spectra)):
